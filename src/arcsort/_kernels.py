@@ -5,16 +5,16 @@ Each kernel performs the same passes as a pure-Python implementation in
 which the property suite enforces.  The two selection scans are unrolled
 into four-way tournaments whose tie direction matches the sequential scan,
 so the chosen pivot (and therefore every swap) is unchanged while the
-loop-carried compare chain shrinks by 4x.  Import is best-effort: when
-numba is missing (or ``ARCSORT_PURE=1`` disables dispatch at the call
-sites) the library falls back to the pure implementations.
+loop-carried compare chain shrinks by 4x.  Import is best-effort and tries
+numba first, so without it numpy is never loaded; ``sorts._compiled`` then
+keeps the pure implementations, as it does under ``ARCSORT_PURE=1``.
 """
 
 from __future__ import annotations
 
 try:
-    import numpy as np
     from numba import njit
+    import numpy as np
 
     AVAILABLE = True
 except ImportError:  # pragma: no cover - exercised only without numba

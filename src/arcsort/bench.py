@@ -40,7 +40,7 @@ def _inplace(fn: Callable[[MutableSequence[int], SortMetrics], None]):
 # name -> callable(buffer, metrics) -> sorted list.  The buffer may be
 # mutated; callers pass a throwaway copy.
 ALGORITHMS: dict[str, Callable[[list[int], SortMetrics], list[int]]] = {
-    "arc": lambda values, metrics: arc_sort(values, metrics),
+    "arc": arc_sort,
     "enhanced-selection": _inplace(enhanced_selection_sort),
     "selection": _inplace(selection_sort),
     "insertion": _inplace(insertion_sort),
@@ -237,7 +237,10 @@ def report_from_csv(text: str) -> BenchmarkReport:
         if len(parts) != 8:
             raise BenchmarkError(f"line {lineno}: expected 8 fields, got {len(parts)}")
         algorithm, distribution = parts[0], parts[1]
-        n, trial, elapsed, comparisons, swaps, writes = map(int, parts[2:])
+        try:
+            n, trial, elapsed, comparisons, swaps, writes = map(int, parts[2:])
+        except ValueError as exc:
+            raise BenchmarkError(f"line {lineno}: {exc}") from None
         rows.append(
             TrialResult(
                 algorithm, distribution, n, trial, elapsed,
@@ -258,6 +261,8 @@ def report_from_csv(text: str) -> BenchmarkReport:
         )
     except KeyError as exc:
         raise BenchmarkError(f"missing metadata key {exc}") from None
+    except ValueError as exc:
+        raise BenchmarkError(f"bad metadata value: {exc}") from None
     return BenchmarkReport(meta, rows)
 
 

@@ -10,19 +10,15 @@ independently and concatenating in bucket order sorts the whole input.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, Sequence
 
-from . import _kernels
 from .metrics import SortMetrics
-from .sorts import enhanced_selection_sort
+from .sorts import _compiled, enhanced_selection_sort
 
-USE_COMPILED = _kernels.AVAILABLE and os.environ.get("ARCSORT_PURE") != "1"
-
-if _kernels.AVAILABLE:
-    import numpy as np
+# The pure arc_sort sorts its buckets with the pure pass, never a compiled one.
+_pure_enhanced_selection = getattr(enhanced_selection_sort, "__wrapped__", enhanced_selection_sort)
 
 # int64 values have at most 19 decimal digits.
 MAX_DIGITS = 19
@@ -71,6 +67,7 @@ def concatenate(table: BucketTable) -> list[int]:
     return list(chain.from_iterable(table.buckets))
 
 
+@_compiled("arc", "swaps")
 def arc_sort(data: Sequence[int], metrics: SortMetrics | None = None) -> list[int]:
     """Return the values sorted ascending; the input is left untouched.
 
@@ -80,16 +77,8 @@ def arc_sort(data: Sequence[int], metrics: SortMetrics | None = None) -> list[in
     Metrics accumulate across the per-bucket sorts, so total comparisons
     equal the sum of c(c-1)/2 over bucket occupancies c.
     """
-    if metrics is None:
-        metrics = SortMetrics()
-    if USE_COMPILED:
-        arr = np.array(data, dtype=np.int64)
-        out, comparisons, swaps = _kernels.arc(arr)
-        metrics.comparisons += int(comparisons)
-        metrics.swaps += int(swaps)
-        return out.tolist()
     table = distribute(data)
     for bucket in table.buckets:
         if len(bucket) > 1:
-            enhanced_selection_sort(bucket, metrics)
+            _pure_enhanced_selection(bucket, metrics)
     return concatenate(table)

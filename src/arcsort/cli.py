@@ -1,10 +1,11 @@
 """Command-line front end: ``sort``, ``gen``, and ``bench`` subcommands.
 
-Exit codes: 0 success, 2 unreadable input file, 3 unparseable or
-out-of-range integer (the diagnostic names the line), 4 invalid dataset
-spec, 5 unknown benchmark algorithm.  Output files are written atomically
-and stdout is only written after the whole input has parsed, so error
-paths never leave partial output behind.
+Exit codes: 0 success, 1 bad ``--trials``/``--warmup`` or a benchmark
+run that failed verification, 2 unreadable input file, 3 unparseable,
+non-ASCII or out-of-range integer (the diagnostic names the line), 4
+invalid dataset spec, 5 unknown benchmark algorithm.  Output files are
+written atomically and stdout is only written after the whole input has
+parsed, so error paths never leave partial output behind.
 """
 
 from __future__ import annotations
@@ -62,7 +63,8 @@ def read_integers(path: str) -> list[int]:
         text = sys.stdin.read()
     else:
         try:
-            with open(path, "r", encoding="ascii") as fh:
+            # A non-ASCII byte decodes to a lone surrogate, which int() rejects.
+            with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
                 text = fh.read()
         except OSError as exc:
             raise CliError(EXIT_UNREADABLE, f"cannot read {path!r}: {exc}") from exc
@@ -92,7 +94,10 @@ def write_text(path: str, text: str) -> None:
         return
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".arcsort-")
+    umask = os.umask(0)
+    os.umask(umask)
     try:
+        os.fchmod(fd, 0o666 & ~umask)  # mkstemp creates the file 0600
         with os.fdopen(fd, "w", encoding="ascii") as fh:
             fh.write(text)
         os.replace(tmp, path)

@@ -5,13 +5,15 @@ through a :class:`~arcsort.metrics.SortMetrics` accumulator, and are
 deterministic: the same input always yields the same output and the same
 counts.  None of them is stable, which is unobservable on plain integers.
 
-Each sort has a pure-Python implementation (the reference) and, when
-numba is importable, a compiled twin in ``_kernels`` that it dispatches
-to.  Set ``ARCSORT_PURE=1`` to force the pure path.
+The pure-Python loops below are the reference implementations.  When
+numba is importable, :func:`_compiled` replaces each of them (and
+``buckets.arc_sort``) with a wrapper around its ``_kernels`` twin, once,
+at import; ``ARCSORT_PURE=1`` keeps the pure functions.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from typing import MutableSequence
 
@@ -20,17 +22,41 @@ from .metrics import SortMetrics
 
 USE_COMPILED = _kernels.AVAILABLE and os.environ.get("ARCSORT_PURE") != "1"
 
-if _kernels.AVAILABLE:
-    import numpy as np
+
+def _compiled(kernel: str, counter: str):
+    """Decorator: run the pure sort's twin ``_kernels.<kernel>`` via :func:`_wrap`.
+
+    Decided once, at import; with the compiled path off the pure function
+    itself comes back.  The kernel's second count adds to ``counter``.
+    """
+    if not USE_COMPILED:
+        return lambda pure: pure
+    return lambda pure: _wrap(pure, getattr(_kernels, kernel), counter)
 
 
-def _run_kernel(kernel, data: MutableSequence[int]) -> tuple[int, int]:
-    arr = np.array(data, dtype=np.int64)
-    a, b = kernel(arr)
-    data[:] = arr.tolist()
-    return int(a), int(b)
+def _wrap(pure, kernel, counter: str):
+    """Call ``kernel`` on an int64 copy of ``data`` in place of ``pure``.
+
+    ``(comparisons, count)`` means the kernel sorted the copy, which is
+    written back; ``(out, comparisons, count)`` means ``out`` is the result.
+    """
+    import numpy as np  # runs only on the compiled path, where _kernels loaded it
+
+    @functools.wraps(pure)
+    def run(data, metrics: SortMetrics | None = None):
+        arr = np.array(data, dtype=np.int64)
+        *out, comparisons, count = kernel(arr)
+        if metrics is not None:
+            metrics.comparisons += int(comparisons)
+            setattr(metrics, counter, getattr(metrics, counter) + int(count))
+        if out:
+            return out[0].tolist()
+        data[:] = arr.tolist()
+
+    return run
 
 
+@_compiled("enhanced_selection", "swaps")
 def enhanced_selection_sort(data: MutableSequence[int], metrics: SortMetrics | None = None) -> None:
     """Sort ascending by repeatedly swapping the maximum to the end.
 
@@ -43,19 +69,11 @@ def enhanced_selection_sort(data: MutableSequence[int], metrics: SortMetrics | N
     """
     if metrics is None:
         metrics = SortMetrics()
-    n = len(data)
-    if n < 2:
-        return
-    if USE_COMPILED:
-        comparisons, swaps = _run_kernel(_kernels.enhanced_selection, data)
-        metrics.comparisons += comparisons
-        metrics.swaps += swaps
-        return
     comparisons = 0
     swaps = 0
     # Iterative form of a tail-recursive procedure: shrink the prefix by
     # one after each pass instead of recursing (depth n would overflow).
-    for size in range(n, 1, -1):
+    for size in range(len(data), 1, -1):
         last = size - 1
         best = last
         best_val = data[last]
@@ -72,18 +90,12 @@ def enhanced_selection_sort(data: MutableSequence[int], metrics: SortMetrics | N
     metrics.swaps += swaps
 
 
+@_compiled("selection", "swaps")
 def selection_sort(data: MutableSequence[int], metrics: SortMetrics | None = None) -> None:
     """Classic minimum-selection sort: one swap per pass, no early exit."""
     if metrics is None:
         metrics = SortMetrics()
     n = len(data)
-    if n < 2:
-        return
-    if USE_COMPILED:
-        comparisons, swaps = _run_kernel(_kernels.selection, data)
-        metrics.comparisons += comparisons
-        metrics.swaps += swaps
-        return
     comparisons = 0
     swaps = 0
     for i in range(n - 1):
@@ -102,6 +114,7 @@ def selection_sort(data: MutableSequence[int], metrics: SortMetrics | None = Non
     metrics.swaps += swaps
 
 
+@_compiled("insertion", "writes")
 def insertion_sort(data: MutableSequence[int], metrics: SortMetrics | None = None) -> None:
     """Shift-based insertion sort, scanning left while strictly greater.
 
@@ -110,17 +123,9 @@ def insertion_sort(data: MutableSequence[int], metrics: SortMetrics | None = Non
     """
     if metrics is None:
         metrics = SortMetrics()
-    n = len(data)
-    if n < 2:
-        return
-    if USE_COMPILED:
-        comparisons, writes = _run_kernel(_kernels.insertion, data)
-        metrics.comparisons += comparisons
-        metrics.writes += writes
-        return
     comparisons = 0
     writes = 0
-    for i in range(1, n):
+    for i in range(1, len(data)):
         key = data[i]
         j = i - 1
         while j >= 0 and data[j] > key:
@@ -135,18 +140,12 @@ def insertion_sort(data: MutableSequence[int], metrics: SortMetrics | None = Non
     metrics.writes += writes
 
 
+@_compiled("bubble", "swaps")
 def bubble_sort(data: MutableSequence[int], metrics: SortMetrics | None = None) -> None:
     """Adjacent-swap passes, stopping after the first pass with no swap."""
     if metrics is None:
         metrics = SortMetrics()
     n = len(data)
-    if n < 2:
-        return
-    if USE_COMPILED:
-        comparisons, swaps = _run_kernel(_kernels.bubble, data)
-        metrics.comparisons += comparisons
-        metrics.swaps += swaps
-        return
     comparisons = 0
     swaps = 0
     for i in range(n - 1):

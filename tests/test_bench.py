@@ -153,6 +153,20 @@ def test_csv_rejects_bad_header():
         report_from_csv("algorithm,n\narc,1\n")
 
 
+def test_csv_malformed_number_names_line():
+    text = report_to_csv(small_report(sizes=[4], trials=1))
+    bad = text + "arc,uniform,x,0,1,1,1,1\n"
+    lineno = len(bad.splitlines())
+    with pytest.raises(BenchmarkError, match=f"line {lineno}"):
+        report_from_csv(bad)
+
+
+def test_csv_malformed_metadata_rejected():
+    text = report_to_csv(small_report(sizes=[4], trials=1)).replace("# seed=42", "# seed=x")
+    with pytest.raises(BenchmarkError, match="metadata value"):
+        report_from_csv(text)
+
+
 def test_plot_data_grid():
     report = small_report(
         algorithms=["arc", "selection", "insertion", "bubble"],

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import io
+import os
+import stat
 import subprocess
 import sys
 
@@ -60,6 +62,15 @@ def test_sort_no_partial_output_on_late_error(tmp_path, capsys):
     assert "line 3" in captured.err
 
 
+def test_sort_non_ascii_byte_names_line(tmp_path, capsys):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"1\n\xe9\n")
+    assert main(["sort", "--algo", "arc", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "line 2" in captured.err
+
+
 def test_sort_rejects_out_of_range(tmp_path, capsys):
     path = write(tmp_path, "big.txt", f"{2**63}\n")
     assert main(["sort", "--algo", "arc", path]) == 3
@@ -111,6 +122,17 @@ def test_gen_same_seed_identical_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
+def test_gen_output_honours_umask(tmp_path, umask, mode):
+    out = tmp_path / "data.txt"
+    saved = os.umask(umask)
+    try:
+        assert main(["gen", "--dist", "uniform", "--n", "3", "--seed", "1", "-o", str(out)]) == 0
+    finally:
+        os.umask(saved)
+    assert stat.S_IMODE(out.stat().st_mode) == mode
+
+
 def test_gen_n_zero_empty_file(tmp_path):
     out = tmp_path / "empty.txt"
     assert main(["gen", "--dist", "uniform", "--n", "0", "--seed", "1", "-o", str(out)]) == 0
@@ -135,6 +157,14 @@ def test_gen_invalid_spec_exit_4(tmp_path, capsys):
 def test_bench_unknown_algo_exit_5(tmp_path):
     rc = main(["bench", "--algos", "arc,heapsort", "--sizes", "4", "-o", str(tmp_path / "r.csv")])
     assert rc == 5
+
+
+@pytest.mark.parametrize("flag, value", [("--trials", "0"), ("--warmup", "-1")])
+def test_bench_bad_repetitions_exit_1(tmp_path, capsys, flag, value):
+    out = tmp_path / "r.csv"
+    assert main(["bench", "--algos", "arc", "--sizes", "4", flag, value, "-o", str(out)]) == 1
+    assert "arcsort: error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bench_grid_row_count(tmp_path, capsys):
