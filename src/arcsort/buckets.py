@@ -20,6 +20,8 @@ from .sorts import _compiled, enhanced_selection_sort
 # The pure arc_sort sorts its buckets with the pure pass, never a compiled one.
 _pure_enhanced_selection = getattr(enhanced_selection_sort, "__wrapped__", enhanced_selection_sort)
 
+INT64_MIN = -(2**63)
+INT64_MAX = 2**63 - 1
 # int64 values have at most 19 decimal digits.
 MAX_DIGITS = 19
 
@@ -51,15 +53,32 @@ class BucketTable:
 
 
 def distribute(values: Iterable[int]) -> BucketTable:
-    """Scatter values into digit-class buckets, preserving arrival order."""
+    """Scatter values into digit-class buckets, preserving arrival order.
+
+    Raises :class:`OverflowError` naming a key outside the int64 range.
+    Only the two end buckets can hold one, so they are range-checked once
+    after the scatter; a key of 20 or more digits has no bucket at all.
+    """
     buckets: list[list[int]] = [[] for _ in range(MAX_DIGITS + 1)]
     k = 0
     for x in values:
         b = count_digits(x)
-        buckets[b].append(x)
+        try:
+            buckets[b].append(x)
+        except IndexError:
+            raise _out_of_range(x) from None
         if b > k:
             k = b
+    low, high = buckets[0], buckets[MAX_DIGITS]
+    if low and min(low) < INT64_MIN:
+        raise _out_of_range(min(low))
+    if high and max(high) > INT64_MAX:
+        raise _out_of_range(max(high))
     return BucketTable(buckets[: k + 1], k)
+
+
+def _out_of_range(x: int) -> OverflowError:
+    return OverflowError(f"{x} is outside the signed 64-bit range")
 
 
 def concatenate(table: BucketTable) -> list[int]:

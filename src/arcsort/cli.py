@@ -54,20 +54,22 @@ class CliError(Exception):
 def read_integers(path: str) -> list[int]:
     """Parse newline-separated signed decimals from a file or stdin (``-``).
 
-    Blank lines are skipped.  A token that is not an integer, or one
-    outside the signed 64-bit range, aborts with the offending line number
-    (overflow must error, not clamp: silent saturation would corrupt
-    benchmark datasets).
+    Both sources are read as bytes and decoded as ASCII, so the same bytes
+    fail the same way whatever the locale.  Blank lines are skipped.  A
+    token that is not an integer, or one outside the signed 64-bit range,
+    aborts with the offending line number (overflow must error, not clamp:
+    silent saturation would corrupt benchmark datasets).
     """
     if path == "-":
-        text = sys.stdin.read()
+        data = sys.stdin.buffer.read()
     else:
         try:
-            # A non-ASCII byte decodes to a lone surrogate, which int() rejects.
-            with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
-                text = fh.read()
+            with open(path, "rb") as fh:
+                data = fh.read()
         except OSError as exc:
             raise CliError(EXIT_UNREADABLE, f"cannot read {path!r}: {exc}") from exc
+    # A non-ASCII byte decodes to a lone surrogate, which int() rejects.
+    text = data.decode("ascii", errors="surrogateescape")
     values = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         token = raw.strip()

@@ -10,10 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .buckets import MAX_DIGITS
-
-INT64_MIN = -(2**63)
-INT64_MAX = 2**63 - 1
+from .buckets import INT64_MAX, INT64_MIN, MAX_DIGITS
 
 PRNG_NAME = "mt19937-python-random"
 

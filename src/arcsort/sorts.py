@@ -5,16 +5,21 @@ through a :class:`~arcsort.metrics.SortMetrics` accumulator, and are
 deterministic: the same input always yields the same output and the same
 counts.  None of them is stable, which is unobservable on plain integers.
 
-The pure-Python loops below are the reference implementations.  When
-numba is importable, :func:`_compiled` replaces each of them (and
-``buckets.arc_sort``) with a wrapper around its ``_kernels`` twin, once,
-at import; ``ARCSORT_PURE=1`` keeps the pure functions.
+The pure-Python loops below are the reference implementations.  The two
+selection sorts scan each pass by value, with no per-element subscript,
+and search for the swap slot only when a swap is due; they pass through
+the states of the index loops in ``tests/oracles.py``, so their outputs
+and counts are the same.  When numba is importable, :func:`_compiled`
+replaces each of them (and ``buckets.arc_sort``) with a wrapper around
+its ``_kernels`` twin, once, at import; ``ARCSORT_PURE=1`` keeps the pure
+functions.
 """
 
 from __future__ import annotations
 
 import functools
 import os
+from operator import indexOf
 from typing import MutableSequence
 
 from . import _kernels
@@ -60,57 +65,67 @@ def _wrap(pure, kernel, counter: str):
 def enhanced_selection_sort(data: MutableSequence[int], metrics: SortMetrics | None = None) -> None:
     """Sort ascending by repeatedly swapping the maximum to the end.
 
-    Each pass scans the unsorted prefix left to right, promoting the
-    candidate on `>=` so the LAST occurrence of the maximum wins, then
-    swaps it into the prefix's final slot only when it is not already
-    there.  Exactly n(n-1)/2 comparisons and at most n-1 swaps; on
+    Each pass pops the last value of the unsorted part as the candidate
+    and scans the rest by value, promoting on `>=` so the LAST occurrence
+    of the maximum wins.  Only if a value was promoted is its slot found,
+    by a C-level search from the tail, and the candidate written there:
+    the slot an index scan picks, so every state and count is the index
+    loop's.  Exactly n(n-1)/2 comparisons and at most n-1 swaps; on
     duplicates the `>=` rule can swap a pair of equal values, which is
     kept so swap counts stay reproducible.
     """
     if metrics is None:
         metrics = SortMetrics()
-    comparisons = 0
     swaps = 0
-    # Iterative form of a tail-recursive procedure: shrink the prefix by
-    # one after each pass instead of recursing (depth n would overflow).
-    for size in range(len(data), 1, -1):
-        last = size - 1
-        best = last
-        best_val = data[last]
-        for i in range(last):
-            v = data[i]
+    w = list(data)
+    for last in range(len(w) - 1, 0, -1):
+        top = w.pop()
+        best_val = top
+        promoted = False
+        for v in w:
             if v >= best_val:
                 best_val = v
-                best = i
-        comparisons += size - 1
-        if best != last:
-            data[best], data[last] = data[last], best_val
+                promoted = True
+        if promoted:
+            w[len(w) - 1 - indexOf(reversed(w), best_val)] = top
             swaps += 1
-    metrics.comparisons += comparisons
+        data[last] = best_val
+    if w:
+        data[0] = w[0]
+    metrics.comparisons += len(data) * (len(data) - 1) // 2
     metrics.swaps += swaps
 
 
 @_compiled("selection", "swaps")
 def selection_sort(data: MutableSequence[int], metrics: SortMetrics | None = None) -> None:
-    """Classic minimum-selection sort: one swap per pass, no early exit."""
+    """Classic minimum-selection sort: one swap per pass, no early exit.
+
+    The unsorted part is kept reversed, so pass i pops ``data[i]`` from
+    the tail as the candidate and scans the rest by value, promoting on a
+    strict `<`.  Only if a value was promoted is its slot found, by a
+    C-level search from the tail: the minimum's FIRST occurrence in
+    ``data``, the slot an index scan picks, so every count is the index
+    loop's.  Exactly n(n-1)/2 comparisons and at most n-1 swaps.
+    """
     if metrics is None:
         metrics = SortMetrics()
-    n = len(data)
-    comparisons = 0
     swaps = 0
-    for i in range(n - 1):
-        best = i
-        best_val = data[i]
-        for j in range(i + 1, n):
-            v = data[j]
+    w = list(reversed(data))
+    for i in range(len(w) - 1):
+        top = w.pop()
+        best_val = top
+        promoted = False
+        for v in w:
             if v < best_val:
                 best_val = v
-                best = j
-        comparisons += n - 1 - i
-        if best != i:
-            data[best], data[i] = data[i], best_val
+                promoted = True
+        if promoted:
+            w[len(w) - 1 - indexOf(reversed(w), best_val)] = top
             swaps += 1
-    metrics.comparisons += comparisons
+        data[i] = best_val
+    if w:
+        data[-1] = w[0]
+    metrics.comparisons += len(data) * (len(data) - 1) // 2
     metrics.swaps += swaps
 
 

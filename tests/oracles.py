@@ -38,6 +38,29 @@ def reference_enhanced_selection(values: list[int]) -> tuple[list[int], int, int
     return a, counts["comparisons"], counts["swaps"]
 
 
+def reference_selection(values: list[int]) -> tuple[list[int], int, int]:
+    """Return (sorted copy, comparisons, swaps) of index-loop min-selection.
+
+    Pass i scans ``a[i+1:]`` left to right, promoting the candidate on a
+    strict `<` so the FIRST occurrence of the minimum wins, and swaps it
+    into slot i only when it is not already there.
+    """
+    a = list(values)
+    n = len(a)
+    comparisons = 0
+    swaps = 0
+    for i in range(n - 1):
+        best = i
+        for j in range(i + 1, n):
+            comparisons += 1
+            if a[j] < a[best]:
+                best = j
+        if best != i:
+            a[best], a[i] = a[i], a[best]
+            swaps += 1
+    return a, comparisons, swaps
+
+
 def reference_digit_class(x: int) -> int:
     """Digit count of x via decade bounds: d such that 10**(d-1) <= x < 10**d."""
     if x <= 0:

@@ -106,3 +106,21 @@ def test_arc_sort_empty():
 
 def test_arc_sort_metrics_optional():
     assert arc_sort([3, 1, 2]) == [1, 2, 3]
+
+
+@pytest.mark.parametrize("value", [2**63, 10**19, 10**40, -(2**63) - 1, -(10**40)])
+def test_distribute_rejects_keys_outside_int64(value):
+    with pytest.raises(OverflowError, match=str(value)):
+        distribute([5, value, -3])
+
+
+@pytest.mark.parametrize("value", [2**63, 10**19, -(2**63) - 1])
+def test_arc_sort_rejects_keys_outside_int64(value):
+    with pytest.raises(OverflowError, match=str(value)):
+        arc_sort([1, value])
+
+
+def test_distribute_accepts_int64_bounds():
+    table = distribute([2**63 - 1, -(2**63)])
+    assert table.buckets[0] == [-(2**63)]
+    assert table.buckets[19] == [2**63 - 1]

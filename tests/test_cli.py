@@ -28,10 +28,36 @@ def test_sort_golden_file(tmp_path, capsys):
     assert capsys.readouterr().out == GOLDEN_SORTED
 
 
+def fake_stdin(data: bytes) -> io.TextIOWrapper:
+    """A text stdin over ``data`` whose own codec fails on any non-UTF-8 byte."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="strict")
+
+
 def test_sort_reads_stdin(monkeypatch, capsys):
-    monkeypatch.setattr(sys, "stdin", io.StringIO(GOLDEN))
+    monkeypatch.setattr(sys, "stdin", fake_stdin(GOLDEN.encode()))
     assert main(["sort", "--algo", "arc", "-"]) == 0
     assert capsys.readouterr().out == GOLDEN_SORTED
+
+
+def test_sort_stdin_non_ascii_byte_names_line(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", fake_stdin(b"1\n\xe9\n"))
+    assert main(["sort", "--algo", "arc", "-"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "line 2" in captured.err
+
+
+def test_sort_stdin_strict_codec_process_exits_3():
+    proc = subprocess.run(
+        [sys.executable, "-m", "arcsort", "sort", "--algo", "arc", "-"],
+        input=b"1\n\xe9\n",
+        capture_output=True,
+        env={**os.environ, "PYTHONIOENCODING": "utf-8:strict"},
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == b""
+    assert b"line 2" in proc.stderr
+    assert b"Traceback" not in proc.stderr
 
 
 def test_sort_empty_file(tmp_path, capsys):

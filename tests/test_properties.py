@@ -22,11 +22,13 @@ from arcsort import (
     selection_sort,
 )
 from arcsort._kernels import AVAILABLE as KERNELS_AVAILABLE
+from arcsort.bench import ALGORITHMS
 from oracles import (
     pair_comparisons,
     reference_arc,
     reference_digit_class,
     reference_enhanced_selection,
+    reference_selection,
 )
 
 int64s = st.integers(min_value=-(2**63), max_value=2**63 - 1)
@@ -36,6 +38,9 @@ small_ints = st.integers(min_value=-10_000, max_value=10_000)
 full_range_lists = st.lists(int64s, max_size=128)
 # small-range lists force duplicates
 dup_lists = st.lists(st.integers(min_value=-30, max_value=30), max_size=200)
+# reference parity: mostly ties, and wide values spanning many digit classes
+tie_lists = st.lists(st.integers(min_value=-2, max_value=2), max_size=64)
+wide_lists = st.lists(st.integers(min_value=-(10**9), max_value=10**9), max_size=64)
 
 ALL_SORTS = [enhanced_selection_sort, selection_sort, insertion_sort, bubble_sort]
 
@@ -113,6 +118,39 @@ def test_enhanced_selection_counts_match_recursive_reference(values):
     assert data == expected_sorted
     assert metrics.comparisons == expected_cmp
     assert metrics.swaps == expected_swaps
+
+
+# bench.ALGORITHMS name -> reference returning (sorted, comparisons, swaps)
+REFERENCES = {
+    "enhanced-selection": reference_enhanced_selection,
+    "selection": reference_selection,
+    "arc": reference_arc,
+}
+
+
+@pytest.mark.parametrize("name", list(REFERENCES))
+@settings(deadline=None, max_examples=150)
+@given(values=st.one_of(tie_lists, wide_lists))
+def test_selection_sorts_equal_reference(name, values):
+    run = ALGORITHMS[name]
+    expected_sorted, expected_cmp, expected_swaps = REFERENCES[name](values)
+    metrics = SortMetrics()
+    assert run(list(values), metrics) == expected_sorted
+    assert metrics == SortMetrics(comparisons=expected_cmp, swaps=expected_swaps)
+
+
+@pytest.mark.parametrize("name", list(REFERENCES))
+@settings(deadline=None, max_examples=60)
+@given(values=st.one_of(tie_lists, wide_lists))
+def test_selection_sorts_accumulate_and_accept_no_metrics(name, values):
+    run = ALGORITHMS[name]
+    expected_sorted, expected_cmp, expected_swaps = REFERENCES[name](values)
+    assert run(list(values), None) == expected_sorted
+    metrics = SortMetrics(comparisons=7, swaps=5, writes=3)
+    assert run(list(values), metrics) == expected_sorted
+    assert metrics == SortMetrics(
+        comparisons=7 + expected_cmp, swaps=5 + expected_swaps, writes=3
+    )
 
 
 @settings(deadline=None, max_examples=100)
