@@ -29,6 +29,10 @@ class BenchmarkError(Exception):
     """Raised for invalid harness arguments or a failed run verification."""
 
 
+class UnknownAlgorithmError(BenchmarkError):
+    """Raised for a name that is not a key of :data:`ALGORITHMS`."""
+
+
 def _inplace(fn: Callable[[MutableSequence[int], SortMetrics], None]):
     def run(values: list[int], metrics: SortMetrics) -> list[int]:
         fn(values, metrics)
@@ -113,7 +117,7 @@ def run_benchmark(
 ) -> BenchmarkReport:
     """Time every (algorithm, size) pair over ``trials`` seeded datasets.
 
-    Per pair: ``warmup`` untimed repetitions absorb cache/JIT transients,
+    Per pair: ``warmup`` untimed repetitions absorb cache transients,
     then each trial times the sort of a fresh copy of its dataset.  Raises
     :class:`BenchmarkError` for unknown algorithm names, trials < 1, or a
     run whose output fails verification (verification is outside the
@@ -122,7 +126,7 @@ def run_benchmark(
     names = list(algorithms)
     unknown = [a for a in names if a not in ALGORITHMS]
     if unknown:
-        raise BenchmarkError(
+        raise UnknownAlgorithmError(
             f"unknown algorithm(s) {', '.join(map(repr, unknown))}; "
             f"valid: {', '.join(ALGORITHMS)}"
         )

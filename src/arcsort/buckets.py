@@ -12,13 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
+from operator import index
 from typing import Iterable, Sequence
 
 from .metrics import SortMetrics
-from .sorts import _compiled, enhanced_selection_sort
-
-# The pure arc_sort sorts its buckets with the pure pass, never a compiled one.
-_pure_enhanced_selection = getattr(enhanced_selection_sort, "__wrapped__", enhanced_selection_sort)
+from .sorts import enhanced_selection_sort
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
@@ -35,13 +33,16 @@ def count_digits(x: int) -> int:
 class BucketTable:
     """Elements grouped by digit class, in arrival order.
 
-    ``buckets[b]`` holds the inputs whose bucket index is ``b``; ``k`` is
-    the highest bucket index observed (0 for empty input), and
-    ``len(buckets) == k + 1``.
+    ``buckets[b]`` holds the inputs whose bucket index is ``b``; the last
+    bucket is the highest index observed.
     """
 
     buckets: list[list[int]] = field(default_factory=lambda: [[]])
-    k: int = 0
+
+    @property
+    def k(self) -> int:
+        """The highest bucket index (0 for empty input)."""
+        return len(self.buckets) - 1
 
     @property
     def occupancy(self) -> list[int]:
@@ -55,6 +56,8 @@ class BucketTable:
 def distribute(values: Iterable[int]) -> BucketTable:
     """Scatter values into digit-class buckets, preserving arrival order.
 
+    Keys that are not ``int`` but have ``__index__`` are stored as ints;
+    a ``bool`` or any other key raises :class:`TypeError` naming it.
     Raises :class:`OverflowError` naming a key outside the int64 range.
     Only the two end buckets can hold one, so they are range-checked once
     after the scatter; a key of 20 or more digits has no bucket at all.
@@ -62,6 +65,8 @@ def distribute(values: Iterable[int]) -> BucketTable:
     buckets: list[list[int]] = [[] for _ in range(MAX_DIGITS + 1)]
     k = 0
     for x in values:
+        if type(x) is not int:
+            x = _as_int(x)
         b = count_digits(x)
         try:
             buckets[b].append(x)
@@ -74,7 +79,14 @@ def distribute(values: Iterable[int]) -> BucketTable:
         raise _out_of_range(min(low))
     if high and max(high) > INT64_MAX:
         raise _out_of_range(max(high))
-    return BucketTable(buckets[: k + 1], k)
+    return BucketTable(buckets[: k + 1])
+
+
+def _as_int(x) -> int:
+    # bool has __index__, but len(str(True)) would file it as a 4-digit key
+    if isinstance(x, bool) or not hasattr(type(x), "__index__"):
+        raise TypeError(f"{x!r} is not an integer key")
+    return index(x)
 
 
 def _out_of_range(x: int) -> OverflowError:
@@ -86,7 +98,6 @@ def concatenate(table: BucketTable) -> list[int]:
     return list(chain.from_iterable(table.buckets))
 
 
-@_compiled("arc", "swaps")
 def arc_sort(data: Sequence[int], metrics: SortMetrics | None = None) -> list[int]:
     """Return the values sorted ascending; the input is left untouched.
 
@@ -99,5 +110,5 @@ def arc_sort(data: Sequence[int], metrics: SortMetrics | None = None) -> list[in
     table = distribute(data)
     for bucket in table.buckets:
         if len(bucket) > 1:
-            _pure_enhanced_selection(bucket, metrics)
+            enhanced_selection_sort(bucket, metrics)
     return concatenate(table)

@@ -19,6 +19,7 @@ from typing import Sequence
 from .bench import (
     ALGORITHMS,
     BenchmarkError,
+    UnknownAlgorithmError,
     emit_plot_data,
     report_to_csv,
     run_benchmark,
@@ -54,11 +55,12 @@ class CliError(Exception):
 def read_integers(path: str) -> list[int]:
     """Parse newline-separated signed decimals from a file or stdin (``-``).
 
-    Both sources are read as bytes and decoded as ASCII, so the same bytes
-    fail the same way whatever the locale.  Blank lines are skipped.  A
-    token that is not an integer, or one outside the signed 64-bit range,
-    aborts with the offending line number (overflow must error, not clamp:
-    silent saturation would corrupt benchmark datasets).
+    Both sources are read and parsed as bytes, so the same bytes fail the
+    same way whatever the locale.  Lines end at LF, CR or CRLF only;
+    blank lines are skipped.  A token that is not an ASCII integer, or one
+    outside the signed 64-bit range, aborts with the offending line number
+    (overflow must error, not clamp: silent saturation would corrupt
+    benchmark datasets).
     """
     if path == "-":
         data = sys.stdin.buffer.read()
@@ -68,18 +70,18 @@ def read_integers(path: str) -> list[int]:
                 data = fh.read()
         except OSError as exc:
             raise CliError(EXIT_UNREADABLE, f"cannot read {path!r}: {exc}") from exc
-    # A non-ASCII byte decodes to a lone surrogate, which int() rejects.
-    text = data.decode("ascii", errors="surrogateescape")
     values = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        token = raw.strip()
+    # int() of bytes reads ASCII digits only, so a non-ASCII byte fails it.
+    for lineno, token in enumerate(data.splitlines(), start=1):
+        token = token.strip()
         if not token:
             continue
         try:
             value = int(token)
         except ValueError:
+            shown = token.decode("ascii", errors="backslashreplace")
             raise CliError(
-                EXIT_BAD_INT, f"line {lineno}: {token!r} is not an integer"
+                EXIT_BAD_INT, f"line {lineno}: {shown!r} is not an integer"
             ) from None
         if not INT64_MIN <= value <= INT64_MAX:
             raise CliError(
@@ -146,13 +148,6 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    algos = _csv_list(args.algos)
-    unknown = [a for a in algos if a not in ALGORITHMS]
-    if unknown:
-        raise CliError(
-            EXIT_BAD_ALGO,
-            f"unknown algorithm(s): {', '.join(unknown)}; valid: {', '.join(ALGORITHMS)}",
-        )
     try:
         sizes = [int(s) for s in _csv_list(args.sizes)]
     except ValueError as exc:
@@ -165,7 +160,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
         value_hi=args.max,
     )
     try:
-        report = run_benchmark(algos, sizes, template, trials=args.trials, warmup=args.warmup)
+        report = run_benchmark(
+            _csv_list(args.algos), sizes, template, trials=args.trials, warmup=args.warmup
+        )
     except DatasetError as exc:
         raise CliError(EXIT_BAD_SPEC, str(exc)) from exc
     write_text(args.output, report_to_csv(report))
@@ -227,7 +224,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return exc.code
     except BenchmarkError as exc:
         print(f"arcsort: error: {exc}", file=sys.stderr)
-        return 1
+        return EXIT_BAD_ALGO if isinstance(exc, UnknownAlgorithmError) else 1
 
 
 if __name__ == "__main__":

@@ -5,63 +5,21 @@ through a :class:`~arcsort.metrics.SortMetrics` accumulator, and are
 deterministic: the same input always yields the same output and the same
 counts.  None of them is stable, which is unobservable on plain integers.
 
-The pure-Python loops below are the reference implementations.  The two
-selection sorts scan each pass by value, with no per-element subscript,
-and search for the swap slot only when a swap is due; they pass through
-the states of the index loops in ``tests/oracles.py``, so their outputs
-and counts are the same.  When numba is importable, :func:`_compiled`
-replaces each of them (and ``buckets.arc_sort``) with a wrapper around
-its ``_kernels`` twin, once, at import; ``ARCSORT_PURE=1`` keeps the pure
-functions.
+Each sort has exactly one definition, the plain-Python loop below.  The
+two selection sorts scan each pass by value, with no per-element
+subscript, and search for the swap slot only when a swap is due; they
+pass through the states of the index loops in ``tests/oracles.py``, so
+their outputs and counts are the same.
 """
 
 from __future__ import annotations
 
-import functools
-import os
 from operator import indexOf
 from typing import MutableSequence
 
-from . import _kernels
 from .metrics import SortMetrics
 
-USE_COMPILED = _kernels.AVAILABLE and os.environ.get("ARCSORT_PURE") != "1"
 
-
-def _compiled(kernel: str, counter: str):
-    """Decorator: run the pure sort's twin ``_kernels.<kernel>`` via :func:`_wrap`.
-
-    Decided once, at import; with the compiled path off the pure function
-    itself comes back.  The kernel's second count adds to ``counter``.
-    """
-    if not USE_COMPILED:
-        return lambda pure: pure
-    return lambda pure: _wrap(pure, getattr(_kernels, kernel), counter)
-
-
-def _wrap(pure, kernel, counter: str):
-    """Call ``kernel`` on an int64 copy of ``data`` in place of ``pure``.
-
-    ``(comparisons, count)`` means the kernel sorted the copy, which is
-    written back; ``(out, comparisons, count)`` means ``out`` is the result.
-    """
-    import numpy as np  # runs only on the compiled path, where _kernels loaded it
-
-    @functools.wraps(pure)
-    def run(data, metrics: SortMetrics | None = None):
-        arr = np.array(data, dtype=np.int64)
-        *out, comparisons, count = kernel(arr)
-        if metrics is not None:
-            metrics.comparisons += int(comparisons)
-            setattr(metrics, counter, getattr(metrics, counter) + int(count))
-        if out:
-            return out[0].tolist()
-        data[:] = arr.tolist()
-
-    return run
-
-
-@_compiled("enhanced_selection", "swaps")
 def enhanced_selection_sort(data: MutableSequence[int], metrics: SortMetrics | None = None) -> None:
     """Sort ascending by repeatedly swapping the maximum to the end.
 
@@ -96,7 +54,6 @@ def enhanced_selection_sort(data: MutableSequence[int], metrics: SortMetrics | N
     metrics.swaps += swaps
 
 
-@_compiled("selection", "swaps")
 def selection_sort(data: MutableSequence[int], metrics: SortMetrics | None = None) -> None:
     """Classic minimum-selection sort: one swap per pass, no early exit.
 
@@ -129,7 +86,6 @@ def selection_sort(data: MutableSequence[int], metrics: SortMetrics | None = Non
     metrics.swaps += swaps
 
 
-@_compiled("insertion", "writes")
 def insertion_sort(data: MutableSequence[int], metrics: SortMetrics | None = None) -> None:
     """Shift-based insertion sort, scanning left while strictly greater.
 
@@ -155,7 +111,6 @@ def insertion_sort(data: MutableSequence[int], metrics: SortMetrics | None = Non
     metrics.writes += writes
 
 
-@_compiled("bubble", "swaps")
 def bubble_sort(data: MutableSequence[int], metrics: SortMetrics | None = None) -> None:
     """Adjacent-swap passes, stopping after the first pass with no swap."""
     if metrics is None:

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import enum
+import re
+from fractions import Fraction
+
 import pytest
 
 from arcsort import (
@@ -58,7 +62,7 @@ def test_distribute_single_class_keeps_arrival_order():
 
 
 def test_concatenate_golden_table():
-    table = BucketTable([[-72, -1], [], [14, 22, 34], [349]], k=3)
+    table = BucketTable([[-72, -1], [], [14, 22, 34], [349]])
     assert concatenate(table) == GOLDEN_OUTPUT
 
 
@@ -67,7 +71,7 @@ def test_concatenate_empty():
 
 
 def test_concatenate_single_bucket():
-    assert concatenate(BucketTable([[], [], [], [100, 200]], k=3)) == [100, 200]
+    assert concatenate(BucketTable([[], [], [], [100, 200]])) == [100, 200]
 
 
 def test_arc_sort_golden():
@@ -124,3 +128,53 @@ def test_distribute_accepts_int64_bounds():
     table = distribute([2**63 - 1, -(2**63)])
     assert table.buckets[0] == [-(2**63)]
     assert table.buckets[19] == [2**63 - 1]
+
+
+@pytest.mark.parametrize(
+    "values, bad",
+    [
+        ([True, 5, 3], "True"),  # len(str(True)) is 4: sorted after 5
+        ([5, False], "False"),
+        ([1.5, 12], "1.5"),
+        ([Fraction(1, 2), 7], "Fraction(1, 2)"),
+        ([3, "4"], "'4'"),
+    ],
+)
+def test_arc_sort_rejects_non_integer_keys(values, bad):
+    with pytest.raises(TypeError, match=re.escape(bad)):
+        arc_sort(values)
+    with pytest.raises(TypeError, match=re.escape(bad)):
+        distribute(values)
+
+
+class Digits(enum.IntEnum):
+    TWELVE = 12
+
+
+class Index:
+    """An integer-like key that is not an int: it has ``__index__`` only."""
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __index__(self) -> int:
+        return self.value
+
+
+def test_distribute_converts_index_keys_to_int():
+    table = distribute([Digits.TWELVE, Index(-4), Index(345), 7])
+    assert table.buckets == [[-4], [7], [12], [345]]
+    assert all(type(v) is int for bucket in table.buckets for v in bucket)
+
+
+def test_arc_sort_accepts_index_keys():
+    metrics = SortMetrics()
+    out = arc_sort([Index(30), Digits.TWELVE, Index(-1), 5], metrics)
+    assert out == [-1, 5, 12, 30]
+    assert all(type(v) is int for v in out)
+    assert metrics == SortMetrics(comparisons=1, swaps=1)
+
+
+def test_arc_sort_index_keys_keep_the_int64_range():
+    with pytest.raises(OverflowError, match=str(2**63)):
+        arc_sort([Index(2**63), 1])

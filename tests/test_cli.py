@@ -97,6 +97,33 @@ def test_sort_non_ascii_byte_names_line(tmp_path, capsys):
     assert "line 2" in captured.err
 
 
+def test_sort_line_numbers_count_newlines_only(tmp_path, capsys):
+    # \f is whitespace inside a line, not a line break: "foo" is on line 3
+    path = tmp_path / "ff.txt"
+    path.write_bytes(b"1\n\f2\nfoo\n")
+    assert main(["sort", "--algo", "arc", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "line 3" in captured.err
+
+
+@pytest.mark.parametrize("sep", [b"\x1c", b"\x1d", b"\x1e", b"\v"])
+def test_sort_does_not_split_on_non_newline_separators(monkeypatch, capsys, sep):
+    monkeypatch.setattr(sys, "stdin", fake_stdin(b"1\n2" + sep + b"3\n"))
+    assert main(["sort", "--algo", "arc", "-"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "line 2" in captured.err
+
+
+@pytest.mark.parametrize("text", [b"3\r1\r\n2\n", b"3\r\n1\r2"])
+def test_sort_accepts_cr_and_crlf_line_ends(tmp_path, capsys, text):
+    path = tmp_path / "cr.txt"
+    path.write_bytes(text)
+    assert main(["sort", "--algo", "insertion", str(path)]) == 0
+    assert capsys.readouterr().out == "1\n2\n3\n"
+
+
 def test_sort_rejects_out_of_range(tmp_path, capsys):
     path = write(tmp_path, "big.txt", f"{2**63}\n")
     assert main(["sort", "--algo", "arc", path]) == 3

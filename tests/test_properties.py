@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import inspect
 from collections import Counter
 
 import pytest
@@ -21,7 +20,6 @@ from arcsort import (
     insertion_sort,
     selection_sort,
 )
-from arcsort._kernels import AVAILABLE as KERNELS_AVAILABLE
 from arcsort.bench import ALGORITHMS
 from oracles import (
     pair_comparisons,
@@ -43,15 +41,6 @@ tie_lists = st.lists(st.integers(min_value=-2, max_value=2), max_size=64)
 wide_lists = st.lists(st.integers(min_value=-(10**9), max_value=10**9), max_size=64)
 
 ALL_SORTS = [enhanced_selection_sort, selection_sort, insertion_sort, bubble_sort]
-
-
-def run_pure(fn, *args, **kw):
-    """Run the pure-Python reference of ``fn`` for one call.
-
-    The pure ``arc_sort`` sorts its buckets with the pure enhanced
-    selection sort, so this stays pure from start to finish.
-    """
-    return inspect.unwrap(fn)(*args, **kw)
 
 
 @pytest.mark.parametrize("sort", ALL_SORTS)
@@ -114,7 +103,7 @@ def test_enhanced_selection_counts_match_recursive_reference(values):
     expected_sorted, expected_cmp, expected_swaps = reference_enhanced_selection(values)
     data = list(values)
     metrics = SortMetrics()
-    run_pure(enhanced_selection_sort, data, metrics)
+    enhanced_selection_sort(data, metrics)
     assert data == expected_sorted
     assert metrics.comparisons == expected_cmp
     assert metrics.swaps == expected_swaps
@@ -218,30 +207,6 @@ def test_singleton_buckets_cost_nothing(values):
     metrics = SortMetrics()
     arc_sort(values, metrics)
     assert metrics == SortMetrics()
-
-
-@pytest.mark.skipif(not KERNELS_AVAILABLE, reason="numba kernels unavailable")
-@pytest.mark.parametrize("sort", ALL_SORTS)
-@settings(deadline=None, max_examples=80)
-@given(values=st.lists(st.one_of(int64s, st.integers(-40, 40)), max_size=90))
-def test_compiled_path_equals_pure_path(sort, values):
-    fast_data, pure_data = list(values), list(values)
-    fast_metrics, pure_metrics = SortMetrics(), SortMetrics()
-    sort(fast_data, fast_metrics)
-    run_pure(sort, pure_data, pure_metrics)
-    assert fast_data == pure_data
-    assert fast_metrics == pure_metrics
-
-
-@pytest.mark.skipif(not KERNELS_AVAILABLE, reason="numba kernels unavailable")
-@settings(deadline=None, max_examples=80)
-@given(values=st.lists(st.one_of(int64s, st.integers(-40, 40)), max_size=90))
-def test_compiled_arc_equals_pure_arc(values):
-    fast_metrics, pure_metrics = SortMetrics(), SortMetrics()
-    fast = arc_sort(values, fast_metrics)
-    pure = run_pure(arc_sort, values, pure_metrics)
-    assert fast == pure
-    assert fast_metrics == pure_metrics
 
 
 @settings(deadline=None, max_examples=40)
