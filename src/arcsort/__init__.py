@@ -6,26 +6,54 @@ enhanced selection sort that swaps the maximum into place at most once
 per pass, and concatenates the buckets.  Alongside it live instrumented
 classic baselines (selection, insertion, bubble), seeded dataset
 generators, and a timing harness that emits CSV reports and plot data.
+
+The sorts are imported with the package; the dataset generators and the
+timing harness (with the ``dataclasses`` and ``statistics`` they need)
+are imported the first time one of their names is used.
 """
 
-from .bench import (
+from importlib import import_module
+
+from .buckets import (
     ALGORITHMS,
-    CSV_HEADER,
-    BenchmarkError,
-    BenchmarkReport,
-    ReportMeta,
-    SummaryRow,
-    TrialResult,
-    emit_plot_data,
-    report_from_csv,
-    report_to_csv,
-    run_benchmark,
-    summarize,
+    DISTRIBUTIONS,
+    MAX_DIGITS,
+    BucketTable,
+    arc_sort,
+    concatenate,
+    count_digits,
+    distribute,
 )
-from .buckets import BucketTable, MAX_DIGITS, arc_sort, concatenate, count_digits, distribute
-from .datagen import DISTRIBUTIONS, DatasetError, DatasetSpec, generate
 from .metrics import SortMetrics
 from .sorts import bubble_sort, enhanced_selection_sort, insertion_sort, selection_sort
+
+# Public names of the modules that load on first use, and their module.
+_LAZY = dict.fromkeys(
+    (
+        "CSV_HEADER",
+        "BenchmarkError",
+        "BenchmarkReport",
+        "ReportMeta",
+        "SummaryRow",
+        "TrialResult",
+        "emit_plot_data",
+        "report_from_csv",
+        "report_to_csv",
+        "run_benchmark",
+        "summarize",
+    ),
+    "bench",
+) | dict.fromkeys(("DatasetError", "DatasetSpec", "generate"), "datagen")
+
+
+def __getattr__(name: str):
+    """Import the module that defines ``name`` and keep the name here."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __version__ = "0.1.0"
 

@@ -14,12 +14,11 @@ import statistics
 import time
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, MutableSequence, Sequence
+from typing import Iterable, Sequence
 
-from .buckets import arc_sort
+from .buckets import ALGORITHMS
 from .datagen import PRNG_NAME, DatasetSpec, generate
 from .metrics import SortMetrics
-from .sorts import bubble_sort, enhanced_selection_sort, insertion_sort, selection_sort
 
 CSV_HEADER = "algorithm,distribution,n,trial,elapsed_ns,comparisons,swaps,writes"
 CLOCK_NAME = "perf_counter_ns"
@@ -31,25 +30,6 @@ class BenchmarkError(Exception):
 
 class UnknownAlgorithmError(BenchmarkError):
     """Raised for a name that is not a key of :data:`ALGORITHMS`."""
-
-
-def _inplace(fn: Callable[[MutableSequence[int], SortMetrics], None]):
-    def run(values: list[int], metrics: SortMetrics) -> list[int]:
-        fn(values, metrics)
-        return values
-
-    return run
-
-
-# name -> callable(buffer, metrics) -> sorted list.  The buffer may be
-# mutated; callers pass a throwaway copy.
-ALGORITHMS: dict[str, Callable[[list[int], SortMetrics], list[int]]] = {
-    "arc": arc_sort,
-    "enhanced-selection": _inplace(enhanced_selection_sort),
-    "selection": _inplace(selection_sort),
-    "insertion": _inplace(insertion_sort),
-    "bubble": _inplace(bubble_sort),
-}
 
 
 @dataclass(frozen=True)

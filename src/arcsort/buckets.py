@@ -10,18 +10,38 @@ independently and concatenating in bucket order sorts the whole input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable, MutableSequence, Sequence
 from itertools import chain
-from operator import index
-from typing import Iterable, Sequence
 
 from .metrics import SortMetrics
-from .sorts import enhanced_selection_sort
+from .sorts import (
+    INT64_MAX,
+    INT64_MIN,
+    bubble_sort,
+    enhanced_selection_sort,
+    enhanced_selection_unchecked,
+    insertion_sort,
+    int_key,
+    out_of_range,
+    selection_sort,
+)
 
-INT64_MIN = -(2**63)
-INT64_MAX = 2**63 - 1
 # int64 values have at most 19 decimal digits.
 MAX_DIGITS = 19
+
+# Dataset shapes that ``datagen.generate`` builds; the CLI lists them.
+DISTRIBUTIONS = (
+    "uniform",
+    "one-per-bucket",
+    "single-bucket",
+    "sorted-ascending",
+    "reverse-sorted",
+    "with-negatives",
+)
+
+# Covers buckets 0-7 with a realistic multi-bucket spread.
+DEFAULT_VALUE_LO = -1_000_000
+DEFAULT_VALUE_HI = 1_000_000
 
 
 def count_digits(x: int) -> int:
@@ -29,15 +49,27 @@ def count_digits(x: int) -> int:
     return len(str(x)) if x > 0 else 0
 
 
-@dataclass
 class BucketTable:
     """Elements grouped by digit class, in arrival order.
 
     ``buckets[b]`` holds the inputs whose bucket index is ``b``; the last
-    bucket is the highest index observed.
+    bucket is the highest index observed.  Two tables are equal when
+    their buckets are; a table is unhashable.
     """
 
-    buckets: list[list[int]] = field(default_factory=lambda: [[]])
+    __match_args__ = ("buckets",)
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, buckets: list[list[int]] | None = None) -> None:
+        self.buckets = [[]] if buckets is None else buckets
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(buckets={self.buckets!r})"
+
+    def __eq__(self, other: object):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.buckets == other.buckets  # type: ignore[attr-defined]
 
     @property
     def k(self) -> int:
@@ -66,31 +98,20 @@ def distribute(values: Iterable[int]) -> BucketTable:
     k = 0
     for x in values:
         if type(x) is not int:
-            x = _as_int(x)
+            x = int_key(x)
         b = count_digits(x)
         try:
             buckets[b].append(x)
         except IndexError:
-            raise _out_of_range(x) from None
+            raise out_of_range(x) from None
         if b > k:
             k = b
     low, high = buckets[0], buckets[MAX_DIGITS]
     if low and min(low) < INT64_MIN:
-        raise _out_of_range(min(low))
+        raise out_of_range(min(low))
     if high and max(high) > INT64_MAX:
-        raise _out_of_range(max(high))
+        raise out_of_range(max(high))
     return BucketTable(buckets[: k + 1])
-
-
-def _as_int(x) -> int:
-    # bool has __index__, but len(str(True)) would file it as a 4-digit key
-    if isinstance(x, bool) or not hasattr(type(x), "__index__"):
-        raise TypeError(f"{x!r} is not an integer key")
-    return index(x)
-
-
-def _out_of_range(x: int) -> OverflowError:
-    return OverflowError(f"{x} is outside the signed 64-bit range")
 
 
 def concatenate(table: BucketTable) -> list[int]:
@@ -105,10 +126,30 @@ def arc_sort(data: Sequence[int], metrics: SortMetrics | None = None) -> list[in
     least two elements with :func:`enhanced_selection_sort` (singleton and
     empty buckets are skipped outright), and concatenates in bucket order.
     Metrics accumulate across the per-bucket sorts, so total comparisons
-    equal the sum of c(c-1)/2 over bucket occupancies c.
+    equal the sum of c(c-1)/2 over bucket occupancies c.  The keys are
+    checked once, by :func:`distribute`.
     """
     table = distribute(data)
     for bucket in table.buckets:
         if len(bucket) > 1:
-            enhanced_selection_sort(bucket, metrics)
+            enhanced_selection_unchecked(bucket, metrics)
     return concatenate(table)
+
+
+def _inplace(fn: Callable[[MutableSequence[int], SortMetrics], None]):
+    def run(values: list[int], metrics: SortMetrics) -> list[int]:
+        fn(values, metrics)
+        return values
+
+    return run
+
+
+# name -> callable(buffer, metrics) -> sorted list.  The buffer may be
+# mutated; callers pass a throwaway copy.
+ALGORITHMS: dict[str, Callable[[list[int], SortMetrics], list[int]]] = {
+    "arc": arc_sort,
+    "enhanced-selection": _inplace(enhanced_selection_sort),
+    "selection": _inplace(selection_sort),
+    "insertion": _inplace(insertion_sort),
+    "bubble": _inplace(bubble_sort),
+}

@@ -6,6 +6,9 @@ non-ASCII or out-of-range integer (the diagnostic names the line), 4
 invalid dataset spec, 5 unknown benchmark algorithm.  Output files are
 written atomically and stdout is only written after the whole input has
 parsed, so error paths never leave partial output behind.
+
+``sort`` loads only the sorts; ``gen`` and ``bench`` import the dataset
+generators and the timing harness when they run.
 """
 
 from __future__ import annotations
@@ -13,27 +16,15 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import tempfile
-from typing import Sequence
+from collections.abc import Sequence
 
-from .bench import (
+from .buckets import (
     ALGORITHMS,
-    BenchmarkError,
-    UnknownAlgorithmError,
-    emit_plot_data,
-    report_to_csv,
-    run_benchmark,
-    summarize,
-)
-from .datagen import (
     DEFAULT_VALUE_HI,
     DEFAULT_VALUE_LO,
+    DISTRIBUTIONS,
     INT64_MAX,
     INT64_MIN,
-    DISTRIBUTIONS,
-    DatasetError,
-    DatasetSpec,
-    generate,
 )
 from .metrics import SortMetrics
 
@@ -57,10 +48,12 @@ def read_integers(path: str) -> list[int]:
 
     Both sources are read and parsed as bytes, so the same bytes fail the
     same way whatever the locale.  Lines end at LF, CR or CRLF only;
-    blank lines are skipped.  A token that is not an ASCII integer, or one
-    outside the signed 64-bit range, aborts with the offending line number
-    (overflow must error, not clamp: silent saturation would corrupt
-    benchmark datasets).
+    blank lines are skipped.  A token is ASCII digits with an optional
+    leading ``+`` or ``-`` and any leading zeros (``+7`` and ``007`` read
+    as 7); a ``_`` digit separator is refused.  A token that is not such
+    an integer, or one outside the signed 64-bit range, aborts with the
+    offending line number (overflow must error, not clamp: silent
+    saturation would corrupt benchmark datasets).
     """
     if path == "-":
         data = sys.stdin.buffer.read()
@@ -70,13 +63,29 @@ def read_integers(path: str) -> list[int]:
                 data = fh.read()
         except OSError as exc:
             raise CliError(EXIT_UNREADABLE, f"cannot read {path!r}: {exc}") from exc
+    # One pass for well-formed input: int() of bytes reads ASCII digits
+    # only and skips the whitespace bytes.strip() would remove.
+    if b"_" not in data:
+        try:
+            values = [int(token) for token in data.splitlines() if token]
+        except ValueError:
+            pass
+        else:
+            if not values or (INT64_MIN <= min(values) and max(values) <= INT64_MAX):
+                return values
+    return _read_lines(data)
+
+
+def _read_lines(data: bytes) -> list[int]:
+    """Parse line by line, skipping blank lines; raise naming the first bad line."""
     values = []
-    # int() of bytes reads ASCII digits only, so a non-ASCII byte fails it.
     for lineno, token in enumerate(data.splitlines(), start=1):
         token = token.strip()
         if not token:
             continue
         try:
+            if b"_" in token:
+                raise ValueError
             value = int(token)
         except ValueError:
             shown = token.decode("ascii", errors="backslashreplace")
@@ -96,6 +105,8 @@ def write_text(path: str, text: str) -> None:
     if path == "-":
         sys.stdout.write(text)
         return
+    import tempfile
+
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".arcsort-")
     umask = os.umask(0)
@@ -131,6 +142,8 @@ def cmd_sort(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    from .datagen import DatasetError, DatasetSpec, generate
+
     spec = DatasetSpec(
         distribution=args.dist,
         n=args.n,
@@ -148,6 +161,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    from . import bench
+    from .datagen import DatasetError, DatasetSpec
+
     try:
         sizes = [int(s) for s in _csv_list(args.sizes)]
     except ValueError as exc:
@@ -160,15 +176,18 @@ def cmd_bench(args: argparse.Namespace) -> int:
         value_hi=args.max,
     )
     try:
-        report = run_benchmark(
+        report = bench.run_benchmark(
             _csv_list(args.algos), sizes, template, trials=args.trials, warmup=args.warmup
         )
+        write_text(args.output, bench.report_to_csv(report))
+        summary = bench.summarize(report)
     except DatasetError as exc:
         raise CliError(EXIT_BAD_SPEC, str(exc)) from exc
-    write_text(args.output, report_to_csv(report))
-    summary = summarize(report)
+    except bench.BenchmarkError as exc:
+        code = EXIT_BAD_ALGO if isinstance(exc, bench.UnknownAlgorithmError) else 1
+        raise CliError(code, str(exc)) from exc
     if args.plot:
-        write_text(args.plot, emit_plot_data(summary))
+        write_text(args.plot, bench.emit_plot_data(summary))
     for row in summary:
         print(
             f"{row.algorithm:>18s}  n={row.n:<8d} median={row.median_ns / 1e6:10.3f} ms  "
@@ -201,9 +220,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.set_defaults(func=cmd_gen)
 
     p_bench = sub.add_parser("bench", help="time the sorts over seeded datasets")
-    p_bench.add_argument("--algos", default=",".join(ALGORITHMS))
+    p_bench.add_argument(
+        "--algos", default=",".join(ALGORITHMS), help="comma-separated (default: %(default)s)"
+    )
     p_bench.add_argument("--sizes", default=DEFAULT_SIZES)
-    p_bench.add_argument("--dist", default="uniform")
+    p_bench.add_argument(
+        "--dist", default="uniform", help=f"one of: {', '.join(DISTRIBUTIONS)} (default: %(default)s)"
+    )
     p_bench.add_argument("--trials", type=int, default=5)
     p_bench.add_argument("--warmup", type=int, default=2)
     p_bench.add_argument("--seed", type=int, default=42)
@@ -222,9 +245,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CliError as exc:
         print(f"arcsort: error: {exc}", file=sys.stderr)
         return exc.code
-    except BenchmarkError as exc:
-        print(f"arcsort: error: {exc}", file=sys.stderr)
-        return EXIT_BAD_ALGO if isinstance(exc, UnknownAlgorithmError) else 1
 
 
 if __name__ == "__main__":

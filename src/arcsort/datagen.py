@@ -10,22 +10,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .buckets import INT64_MAX, INT64_MIN, MAX_DIGITS
-
-PRNG_NAME = "mt19937-python-random"
-
-DISTRIBUTIONS = (
-    "uniform",
-    "one-per-bucket",
-    "single-bucket",
-    "sorted-ascending",
-    "reverse-sorted",
-    "with-negatives",
+from .buckets import (
+    DEFAULT_VALUE_HI,
+    DEFAULT_VALUE_LO,
+    DISTRIBUTIONS,
+    INT64_MAX,
+    INT64_MIN,
+    MAX_DIGITS,
 )
 
-# Covers buckets 0-7 with a realistic multi-bucket spread.
-DEFAULT_VALUE_LO = -1_000_000
-DEFAULT_VALUE_HI = 1_000_000
+PRNG_NAME = "mt19937-python-random"
 
 
 class DatasetError(ValueError):

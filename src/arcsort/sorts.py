@@ -10,14 +10,47 @@ two selection sorts scan each pass by value, with no per-element
 subscript, and search for the swap slot only when a swap is due; they
 pass through the states of the index loops in ``tests/oracles.py``, so
 their outputs and counts are the same.
+
+Every sort first applies the key rule of :func:`check_keys`, once per
+call: a non-int key with ``__index__`` is replaced by its int, and a
+``bool``, any other key or a key outside int64 raises before the first
+pass.  :func:`~arcsort.buckets.distribute` applies the same rule.
 """
 
 from __future__ import annotations
 
-from operator import indexOf
-from typing import MutableSequence
+from collections.abc import MutableSequence
+from operator import index, indexOf
 
 from .metrics import SortMetrics
+
+INT64_MIN = -(2**63)
+INT64_MAX = 2**63 - 1
+
+
+def int_key(x) -> int:
+    """Return ``x`` as an int key, or raise :class:`TypeError` naming it."""
+    # bool has __index__, but len(str(True)) would file it as a 4-digit key
+    if isinstance(x, bool) or not hasattr(type(x), "__index__"):
+        raise TypeError(f"{x!r} is not an integer key")
+    return index(x)
+
+
+def out_of_range(x: int) -> OverflowError:
+    return OverflowError(f"{x} is outside the signed 64-bit range")
+
+
+def check_keys(data: MutableSequence) -> None:
+    """Make every key of ``data`` a plain int in the int64 range, in place.
+
+    Raises :class:`TypeError` or :class:`OverflowError` naming the first
+    key that cannot be one.  A plain int costs one type test.
+    """
+    for i, x in enumerate(data):
+        if type(x) is not int:
+            data[i] = x = int_key(x)
+        if not INT64_MIN <= x <= INT64_MAX:
+            raise out_of_range(x)
 
 
 def enhanced_selection_sort(data: MutableSequence[int], metrics: SortMetrics | None = None) -> None:
@@ -32,6 +65,12 @@ def enhanced_selection_sort(data: MutableSequence[int], metrics: SortMetrics | N
     duplicates the `>=` rule can swap a pair of equal values, which is
     kept so swap counts stay reproducible.
     """
+    check_keys(data)
+    enhanced_selection_unchecked(data, metrics)
+
+
+def enhanced_selection_unchecked(data: MutableSequence[int], metrics: SortMetrics | None = None) -> None:
+    """:func:`enhanced_selection_sort` on keys that have passed the key rule."""
     if metrics is None:
         metrics = SortMetrics()
     swaps = 0
@@ -64,6 +103,7 @@ def selection_sort(data: MutableSequence[int], metrics: SortMetrics | None = Non
     ``data``, the slot an index scan picks, so every count is the index
     loop's.  Exactly n(n-1)/2 comparisons and at most n-1 swaps.
     """
+    check_keys(data)
     if metrics is None:
         metrics = SortMetrics()
     swaps = 0
@@ -92,6 +132,7 @@ def insertion_sort(data: MutableSequence[int], metrics: SortMetrics | None = Non
     Comparisons count every executed ``data[j] > key`` test; writes count
     the shift stores only, not the final key placement.
     """
+    check_keys(data)
     if metrics is None:
         metrics = SortMetrics()
     comparisons = 0
@@ -113,6 +154,7 @@ def insertion_sort(data: MutableSequence[int], metrics: SortMetrics | None = Non
 
 def bubble_sort(data: MutableSequence[int], metrics: SortMetrics | None = None) -> None:
     """Adjacent-swap passes, stopping after the first pass with no swap."""
+    check_keys(data)
     if metrics is None:
         metrics = SortMetrics()
     n = len(data)

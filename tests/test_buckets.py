@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from arcsort import sorts
 from arcsort import (
     BucketTable,
     SortMetrics,
@@ -178,3 +179,14 @@ def test_arc_sort_accepts_index_keys():
 def test_arc_sort_index_keys_keep_the_int64_range():
     with pytest.raises(OverflowError, match=str(2**63)):
         arc_sort([Index(2**63), 1])
+
+
+def test_arc_sort_checks_keys_once(monkeypatch):
+    # distribute applies the key rule; the per-bucket sorts must not repeat it
+    def checked_twice(data):
+        raise AssertionError("the per-bucket sort checked the keys again")
+
+    monkeypatch.setattr(sorts, "check_keys", checked_twice)
+    assert arc_sort(GOLDEN_INPUT) == GOLDEN_OUTPUT
+    with pytest.raises(AssertionError):
+        sorts.enhanced_selection_sort([2, 1])  # the patch does reach the public sort

@@ -136,6 +136,30 @@ def test_sort_accepts_int64_bounds(tmp_path, capsys):
     assert capsys.readouterr().out == f"{-(2**63)}\n{2**63 - 1}\n"
 
 
+def test_sort_out_of_range_names_its_line(tmp_path, capsys):
+    path = write(tmp_path, "big.txt", f"1\n\n{-(2**63) - 1}\n{2**63}\n")
+    assert main(["sort", "--algo", "arc", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"line 3: {-(2**63) - 1} is outside the 64-bit range" in captured.err
+
+
+@pytest.mark.parametrize("token", ["1_000", "-1_0", "_7", "7_"])
+def test_sort_rejects_digit_separators(tmp_path, capsys, token):
+    # int() reads "1_000" as 1000; a data file should not
+    path = write(tmp_path, "sep.txt", f"5\n{token}\n")
+    assert main(["sort", "--algo", "arc", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"line 2: {token!r} is not an integer" in captured.err
+
+
+def test_sort_accepts_sign_and_leading_zeros(tmp_path, capsys):
+    path = write(tmp_path, "signs.txt", "+7\n007\n-0\n-08\n \t12 \n+0\n")
+    assert main(["sort", "--algo", "arc", path]) == 0
+    assert capsys.readouterr().out == "-8\n0\n0\n7\n7\n12\n"
+
+
 def test_sort_unreadable_file(tmp_path, capsys):
     assert main(["sort", "--algo", "arc", str(tmp_path / "missing.txt")]) == 2
     assert capsys.readouterr().out == ""

@@ -7,6 +7,10 @@ baseline variants) before being frozen here.
 
 from __future__ import annotations
 
+import enum
+import re
+from fractions import Fraction
+
 import pytest
 
 from arcsort import (
@@ -156,3 +160,62 @@ def test_int64_extremes(sort):
     values = [2**63 - 1, -(2**63), 0, 1, -1]
     data, _ = run(sort, values)
     assert data == sorted(values)
+
+
+# The classic sorts follow distribute's key rule: the same errors, raised
+# before the first pass, so a rejected input is left as it was given.
+@pytest.mark.parametrize("sort", ALL_SORTS)
+@pytest.mark.parametrize(
+    "values, bad",
+    [
+        ([3, 1.5, True], "1.5"),  # was sorted to [True, 1.5, 3]
+        ([True, 5, 3], "True"),
+        ([5, False], "False"),
+        ([Fraction(1, 2), 7], "Fraction(1, 2)"),
+        ([3, "4"], "'4'"),
+    ],
+)
+def test_classic_sorts_reject_non_integer_keys(sort, values, bad):
+    data = list(values)
+    with pytest.raises(TypeError, match=re.escape(f"{bad} is not an integer key")):
+        sort(data, SortMetrics())
+    assert data == values
+
+
+@pytest.mark.parametrize("sort", ALL_SORTS)
+@pytest.mark.parametrize("value", [2**63, 10**19, -(2**63) - 1, 2**64])
+def test_classic_sorts_reject_keys_outside_int64(sort, value):
+    data = [5, value, -1]  # 2**64 was sorted after -1
+    metrics = SortMetrics()
+    with pytest.raises(OverflowError, match=f"{value} is outside the signed 64-bit range"):
+        sort(data, metrics)
+    assert metrics == SortMetrics()
+
+
+class Digits(enum.IntEnum):
+    TWELVE = 12
+
+
+class Index:
+    """An integer-like key that is not an int: it has ``__index__`` only."""
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __index__(self) -> int:
+        return self.value
+
+
+@pytest.mark.parametrize("sort", ALL_SORTS)
+def test_classic_sorts_convert_index_keys_to_int(sort):
+    plain, plain_metrics = run(sort, [30, 12, -1, 5])
+    data, metrics = run(sort, [Index(30), Digits.TWELVE, Index(-1), 5])
+    assert data == plain == [-1, 5, 12, 30]
+    assert all(type(v) is int for v in data)
+    assert metrics == plain_metrics
+
+
+@pytest.mark.parametrize("sort", ALL_SORTS)
+def test_classic_sorts_index_keys_keep_the_int64_range(sort):
+    with pytest.raises(OverflowError, match=str(2**63)):
+        sort([Index(2**63), 1])
