@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import statistics
 import time
-from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
@@ -78,10 +77,7 @@ def derive_seed(base: int, n: int, trial: int) -> int:
 
 
 def _verify(algorithm: str, seed: int, original: Sequence[int], result: Sequence[int]) -> None:
-    ok = len(result) == len(original) and Counter(result) == Counter(original)
-    if ok:
-        ok = all(result[i] <= result[i + 1] for i in range(len(result) - 1))
-    if not ok:
+    if result != sorted(original):
         raise BenchmarkError(
             f"verification failed: algorithm={algorithm!r} did not produce a "
             f"sorted permutation of the dataset with seed={seed}"

@@ -10,19 +10,16 @@ independently and concatenating in bucket order sorts the whole input.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, MutableSequence, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from itertools import chain
 
 from .metrics import SortMetrics
 from .sorts import (
-    INT64_MAX,
-    INT64_MIN,
     bubble_sort,
+    check_keys,
     enhanced_selection_sort,
     enhanced_selection_unchecked,
     insertion_sort,
-    int_key,
-    out_of_range,
     selection_sort,
 )
 
@@ -88,29 +85,20 @@ class BucketTable:
 def distribute(values: Iterable[int]) -> BucketTable:
     """Scatter values into digit-class buckets, preserving arrival order.
 
-    Keys that are not ``int`` but have ``__index__`` are stored as ints;
-    a ``bool`` or any other key raises :class:`TypeError` naming it.
-    Raises :class:`OverflowError` naming a key outside the int64 range.
-    Only the two end buckets can hold one, so they are range-checked once
-    after the scatter; a key of 20 or more digits has no bucket at all.
+    The values are copied and put through :func:`~arcsort.sorts.check_keys`
+    before the scatter, so the buckets hold plain ints and a bad key
+    raises :class:`TypeError` or :class:`OverflowError` naming the first
+    one in input order, as every sort does.  ``values`` is not changed.
     """
+    keys = list(values)
+    check_keys(keys)
     buckets: list[list[int]] = [[] for _ in range(MAX_DIGITS + 1)]
     k = 0
-    for x in values:
-        if type(x) is not int:
-            x = int_key(x)
+    for x in keys:
         b = count_digits(x)
-        try:
-            buckets[b].append(x)
-        except IndexError:
-            raise out_of_range(x) from None
+        buckets[b].append(x)
         if b > k:
             k = b
-    low, high = buckets[0], buckets[MAX_DIGITS]
-    if low and min(low) < INT64_MIN:
-        raise out_of_range(min(low))
-    if high and max(high) > INT64_MAX:
-        raise out_of_range(max(high))
     return BucketTable(buckets[: k + 1])
 
 
@@ -136,20 +124,13 @@ def arc_sort(data: Sequence[int], metrics: SortMetrics | None = None) -> list[in
     return concatenate(table)
 
 
-def _inplace(fn: Callable[[MutableSequence[int], SortMetrics], None]):
-    def run(values: list[int], metrics: SortMetrics) -> list[int]:
-        fn(values, metrics)
-        return values
-
-    return run
-
-
-# name -> callable(buffer, metrics) -> sorted list.  The buffer may be
-# mutated; callers pass a throwaway copy.
-ALGORITHMS: dict[str, Callable[[list[int], SortMetrics], list[int]]] = {
+# name -> the public sort: callable(buffer, metrics) -> sorted list.  The
+# four in-place sorts mutate the buffer and return it, so callers pass a
+# throwaway copy; arc_sort returns a new list.
+ALGORITHMS: dict[str, Callable[[list[int], SortMetrics | None], Sequence[int]]] = {
     "arc": arc_sort,
-    "enhanced-selection": _inplace(enhanced_selection_sort),
-    "selection": _inplace(selection_sort),
-    "insertion": _inplace(insertion_sort),
-    "bubble": _inplace(bubble_sort),
+    "enhanced-selection": enhanced_selection_sort,
+    "selection": selection_sort,
+    "insertion": insertion_sort,
+    "bubble": bubble_sort,
 }

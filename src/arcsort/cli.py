@@ -1,11 +1,12 @@
 """Command-line front end: ``sort``, ``gen``, and ``bench`` subcommands.
 
 Exit codes: 0 success, 1 bad ``--trials``/``--warmup`` or a benchmark
-run that failed verification, 2 unreadable input file, 3 unparseable,
-non-ASCII or out-of-range integer (the diagnostic names the line), 4
-invalid dataset spec, 5 unknown benchmark algorithm.  Output files are
-written atomically and stdout is only written after the whole input has
-parsed, so error paths never leave partial output behind.
+run that failed verification, 2 unreadable input or unwritable output
+(a file or stdout), 3 unparseable, non-ASCII or out-of-range integer
+(the diagnostic names the line), 4 invalid dataset spec, 5 unknown
+benchmark algorithm.  Output files are written atomically and stdout is
+only written after the whole input has parsed, so error paths never
+leave partial output behind.
 
 ``sort`` loads only the sorts; ``gen`` and ``bench`` import the dataset
 generators and the timing harness when they run.
@@ -23,13 +24,12 @@ from .buckets import (
     DEFAULT_VALUE_HI,
     DEFAULT_VALUE_LO,
     DISTRIBUTIONS,
-    INT64_MAX,
-    INT64_MIN,
 )
 from .metrics import SortMetrics
+from .sorts import INT64_MAX, INT64_MIN
 
 EXIT_OK = 0
-EXIT_UNREADABLE = 2
+EXIT_IO = 2
 EXIT_BAD_INT = 3
 EXIT_BAD_SPEC = 4
 EXIT_BAD_ALGO = 5
@@ -62,7 +62,7 @@ def read_integers(path: str) -> list[int]:
             with open(path, "rb") as fh:
                 data = fh.read()
         except OSError as exc:
-            raise CliError(EXIT_UNREADABLE, f"cannot read {path!r}: {exc}") from exc
+            raise CliError(EXIT_IO, f"cannot read {path!r}: {exc}") from exc
     # One pass for well-formed input: int() of bytes reads ASCII digits
     # only and skips the whitespace bytes.strip() would remove.
     if b"_" not in data:
@@ -101,27 +101,34 @@ def _read_lines(data: bytes) -> list[int]:
 
 
 def write_text(path: str, text: str) -> None:
-    """Write to ``path`` atomically (temp file + rename), or to stdout for ``-``."""
-    if path == "-":
-        sys.stdout.write(text)
-        return
-    import tempfile
+    """Write to ``path`` atomically (temp file + rename), or to stdout for ``-``.
 
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".arcsort-")
-    umask = os.umask(0)
-    os.umask(umask)
+    Raises :class:`CliError` with exit 2 if the text cannot be written.
+    """
     try:
-        os.fchmod(fd, 0o666 & ~umask)  # mkstemp creates the file 0600
-        with os.fdopen(fd, "w", encoding="ascii") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
+        if path == "-":
+            sys.stdout.write(text)
+            sys.stdout.flush()  # a full device fails here, not at exit
+            return
+        import tempfile
+
+        directory = os.path.dirname(os.path.abspath(path))
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".arcsort-")
+        umask = os.umask(0)
+        os.umask(umask)
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            os.fchmod(fd, 0o666 & ~umask)  # mkstemp creates the file 0600
+            with os.fdopen(fd, "w", encoding="ascii") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+    except OSError as exc:
+        raise CliError(EXIT_IO, f"cannot write {path!r}: {exc}") from None
 
 
 def _csv_list(text: str) -> list[str]:
@@ -132,7 +139,7 @@ def cmd_sort(args: argparse.Namespace) -> int:
     values = read_integers(args.input)
     metrics = SortMetrics()
     result = ALGORITHMS[args.algo](values, metrics)
-    sys.stdout.write("".join(f"{v}\n" for v in result))
+    write_text("-", "".join(f"{v}\n" for v in result))
     if args.metrics:
         print(
             f"comparisons={metrics.comparisons} swaps={metrics.swaps} writes={metrics.writes}",
@@ -188,11 +195,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise CliError(code, str(exc)) from exc
     if args.plot:
         write_text(args.plot, bench.emit_plot_data(summary))
-    for row in summary:
-        print(
-            f"{row.algorithm:>18s}  n={row.n:<8d} median={row.median_ns / 1e6:10.3f} ms  "
-            f"mean={row.mean_ns / 1e6:10.3f} ms  comparisons={row.mean_comparisons:.0f}"
-        )
+    write_text("-", "".join(
+        f"{row.algorithm:>18s}  n={row.n:<8d} median={row.median_ns / 1e6:10.3f} ms  "
+        f"mean={row.mean_ns / 1e6:10.3f} ms  comparisons={row.mean_comparisons:.0f}\n"
+        for row in summary
+    ))
     return EXIT_OK
 
 

@@ -14,10 +14,9 @@ from .buckets import (
     DEFAULT_VALUE_HI,
     DEFAULT_VALUE_LO,
     DISTRIBUTIONS,
-    INT64_MAX,
-    INT64_MIN,
     MAX_DIGITS,
 )
+from .sorts import INT64_MAX, INT64_MIN
 
 PRNG_NAME = "mt19937-python-random"
 

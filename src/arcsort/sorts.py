@@ -1,9 +1,10 @@
 """Instrumented in-place ascending sorts over signed 64-bit integers.
 
-All four sorts mutate the sequence they are given, report their work
-through a :class:`~arcsort.metrics.SortMetrics` accumulator, and are
-deterministic: the same input always yields the same output and the same
-counts.  None of them is stable, which is unobservable on plain integers.
+All four sorts mutate the sequence they are given and return it, report
+their work through a :class:`~arcsort.metrics.SortMetrics` accumulator,
+and are deterministic: the same input always yields the same output and
+the same counts.  None of them is stable, which is unobservable on plain
+integers.
 
 Each sort has exactly one definition, the plain-Python loop below.  The
 two selection sorts scan each pass by value, with no per-element
@@ -14,7 +15,8 @@ their outputs and counts are the same.
 Every sort first applies the key rule of :func:`check_keys`, once per
 call: a non-int key with ``__index__`` is replaced by its int, and a
 ``bool``, any other key or a key outside int64 raises before the first
-pass.  :func:`~arcsort.buckets.distribute` applies the same rule.
+pass, naming the first such key in input order.  The rule lives only
+there; :func:`~arcsort.buckets.distribute` calls it too.
 """
 
 from __future__ import annotations
@@ -28,18 +30,6 @@ INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
 
 
-def int_key(x) -> int:
-    """Return ``x`` as an int key, or raise :class:`TypeError` naming it."""
-    # bool has __index__, but len(str(True)) would file it as a 4-digit key
-    if isinstance(x, bool) or not hasattr(type(x), "__index__"):
-        raise TypeError(f"{x!r} is not an integer key")
-    return index(x)
-
-
-def out_of_range(x: int) -> OverflowError:
-    return OverflowError(f"{x} is outside the signed 64-bit range")
-
-
 def check_keys(data: MutableSequence) -> None:
     """Make every key of ``data`` a plain int in the int64 range, in place.
 
@@ -48,12 +38,15 @@ def check_keys(data: MutableSequence) -> None:
     """
     for i, x in enumerate(data):
         if type(x) is not int:
-            data[i] = x = int_key(x)
+            # bool has __index__, but len(str(True)) would file it as a 4-digit key
+            if isinstance(x, bool) or not hasattr(type(x), "__index__"):
+                raise TypeError(f"{x!r} is not an integer key")
+            data[i] = x = index(x)
         if not INT64_MIN <= x <= INT64_MAX:
-            raise out_of_range(x)
+            raise OverflowError(f"{x} is outside the signed 64-bit range")
 
 
-def enhanced_selection_sort(data: MutableSequence[int], metrics: SortMetrics | None = None) -> None:
+def enhanced_selection_sort(data: MutableSequence[int], metrics: SortMetrics | None = None) -> MutableSequence[int]:
     """Sort ascending by repeatedly swapping the maximum to the end.
 
     Each pass pops the last value of the unsorted part as the candidate
@@ -66,10 +59,10 @@ def enhanced_selection_sort(data: MutableSequence[int], metrics: SortMetrics | N
     kept so swap counts stay reproducible.
     """
     check_keys(data)
-    enhanced_selection_unchecked(data, metrics)
+    return enhanced_selection_unchecked(data, metrics)
 
 
-def enhanced_selection_unchecked(data: MutableSequence[int], metrics: SortMetrics | None = None) -> None:
+def enhanced_selection_unchecked(data: MutableSequence[int], metrics: SortMetrics | None = None) -> MutableSequence[int]:
     """:func:`enhanced_selection_sort` on keys that have passed the key rule."""
     if metrics is None:
         metrics = SortMetrics()
@@ -91,9 +84,10 @@ def enhanced_selection_unchecked(data: MutableSequence[int], metrics: SortMetric
         data[0] = w[0]
     metrics.comparisons += len(data) * (len(data) - 1) // 2
     metrics.swaps += swaps
+    return data
 
 
-def selection_sort(data: MutableSequence[int], metrics: SortMetrics | None = None) -> None:
+def selection_sort(data: MutableSequence[int], metrics: SortMetrics | None = None) -> MutableSequence[int]:
     """Classic minimum-selection sort: one swap per pass, no early exit.
 
     The unsorted part is kept reversed, so pass i pops ``data[i]`` from
@@ -124,9 +118,10 @@ def selection_sort(data: MutableSequence[int], metrics: SortMetrics | None = Non
         data[-1] = w[0]
     metrics.comparisons += len(data) * (len(data) - 1) // 2
     metrics.swaps += swaps
+    return data
 
 
-def insertion_sort(data: MutableSequence[int], metrics: SortMetrics | None = None) -> None:
+def insertion_sort(data: MutableSequence[int], metrics: SortMetrics | None = None) -> MutableSequence[int]:
     """Shift-based insertion sort, scanning left while strictly greater.
 
     Comparisons count every executed ``data[j] > key`` test; writes count
@@ -150,9 +145,10 @@ def insertion_sort(data: MutableSequence[int], metrics: SortMetrics | None = Non
         data[j + 1] = key
     metrics.comparisons += comparisons
     metrics.writes += writes
+    return data
 
 
-def bubble_sort(data: MutableSequence[int], metrics: SortMetrics | None = None) -> None:
+def bubble_sort(data: MutableSequence[int], metrics: SortMetrics | None = None) -> MutableSequence[int]:
     """Adjacent-swap passes, stopping after the first pass with no swap."""
     check_keys(data)
     if metrics is None:
@@ -173,3 +169,4 @@ def bubble_sort(data: MutableSequence[int], metrics: SortMetrics | None = None) 
             break
     metrics.comparisons += comparisons
     metrics.swaps += swaps
+    return data

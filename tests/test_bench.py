@@ -72,16 +72,27 @@ def test_zero_trials_rejected():
         small_report(trials=0)
 
 
-def test_verification_failure_names_algorithm_and_seed(monkeypatch):
-    def broken(values, metrics):
-        return values[:-1]  # drops an element
+def _drops_an_element(values, metrics):
+    return values[:-1]
 
-    monkeypatch.setitem(bench.ALGORITHMS, "broken", broken)
-    with pytest.raises(BenchmarkError) as err:
-        run_benchmark(["broken"], [8], TEMPLATE, trials=1, warmup=0)
-    message = str(err.value)
-    assert "broken" in message
-    assert str(bench.derive_seed(TEMPLATE.seed, 8, 0)) in message
+
+def _leaves_it_unsorted(values, metrics):
+    return values
+
+
+def _duplicates_a_value(values, metrics):
+    out = sorted(values)
+    return out[1:] + out[-1:]  # sorted and the same length, but the minimum is gone
+
+
+def test_verification_failure_names_algorithm_and_seed(monkeypatch):
+    for broken in (_drops_an_element, _leaves_it_unsorted, _duplicates_a_value):
+        monkeypatch.setitem(bench.ALGORITHMS, "broken", broken)
+        with pytest.raises(BenchmarkError) as err:
+            run_benchmark(["broken"], [8], TEMPLATE, trials=1, warmup=0)
+        message = str(err.value)
+        assert "broken" in message, broken.__name__
+        assert str(bench.derive_seed(TEMPLATE.seed, 8, 0)) in message
 
 
 def test_metadata_records_run_parameters():

@@ -10,12 +10,17 @@ import pytest
 
 from arcsort import sorts
 from arcsort import (
+    ALGORITHMS,
     BucketTable,
     SortMetrics,
     arc_sort,
+    bubble_sort,
     concatenate,
     count_digits,
     distribute,
+    enhanced_selection_sort,
+    insertion_sort,
+    selection_sort,
 )
 
 GOLDEN_INPUT = [349, 34, -72, 22, 14, -1]
@@ -190,3 +195,21 @@ def test_arc_sort_checks_keys_once(monkeypatch):
     assert arc_sort(GOLDEN_INPUT) == GOLDEN_OUTPUT
     with pytest.raises(AssertionError):
         sorts.enhanced_selection_sort([2, 1])  # the patch does reach the public sort
+
+
+IN_PLACE = {
+    "enhanced-selection": enhanced_selection_sort,
+    "selection": selection_sort,
+    "insertion": insertion_sort,
+    "bubble": bubble_sort,
+}
+
+
+def test_algorithms_are_the_public_sorts():
+    assert ALGORITHMS.keys() == {"arc", *IN_PLACE}
+    assert ALGORITHMS["arc"] is arc_sort
+    for name, sort in IN_PLACE.items():
+        assert ALGORITHMS[name] is sort
+        data = list(GOLDEN_INPUT)
+        assert sort(data) is data, name
+        assert data == GOLDEN_OUTPUT

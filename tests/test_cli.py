@@ -231,6 +231,49 @@ def test_gen_invalid_spec_exit_4(tmp_path, capsys):
     assert not out.exists()  # nothing partial left behind
 
 
+UNWRITABLE = [
+    ["gen", "--dist", "uniform", "--n", "3", "--seed", "1", "-o"],
+    ["bench", "--algos", "arc", "--sizes", "4", "--trials", "1", "--warmup", "0", "-o"],
+]
+
+
+@pytest.mark.parametrize("argv", UNWRITABLE, ids=["gen", "bench"])
+def test_unwritable_output_exit_2(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "out.txt"
+    assert main([*argv, str(target)]) == 2
+    assert capsys.readouterr().err.startswith(f"arcsort: error: cannot write {str(target)!r}")
+
+
+def test_unwritable_output_process_prints_no_traceback(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "arcsort", *UNWRITABLE[0], str(tmp_path / "missing" / "x")],
+        capture_output=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(b"arcsort: error: cannot write")
+    assert b"Traceback" not in proc.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("command", ["sort", "bench"])
+def test_stdout_to_full_device_exit_2(tmp_path, command):
+    argv = {
+        "sort": ["sort", "--algo", "arc", "-"],
+        "bench": [*UNWRITABLE[1], str(tmp_path / "r.csv")],  # only the summary goes to stdout
+    }[command]
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "arcsort", *argv],
+            input=b"3\n1\n",
+            stdout=full,
+            stderr=subprocess.PIPE,
+        )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(b"arcsort: error: cannot write '-'")
+    assert b"Traceback" not in proc.stderr
+    assert b"Exception ignored" not in proc.stderr
+
+
 def test_bench_unknown_algo_exit_5(tmp_path):
     rc = main(["bench", "--algos", "arc,heapsort", "--sizes", "4", "-o", str(tmp_path / "r.csv")])
     assert rc == 5

@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from arcsort import (
     DatasetSpec,
@@ -156,6 +156,38 @@ def test_arc_counts_match_reference(values):
     assert arc_sort(values, metrics) == expected_sorted
     assert metrics.comparisons == expected_cmp
     assert metrics.swaps == expected_swaps
+
+
+# keys the key rule refuses: outside int64 on either side, a bool, a non-integer
+bad_keys = st.sampled_from([2**63, 10**19, -(2**63) - 1, -(10**20), True, 1.5, "4"])
+
+
+@st.composite
+def lists_with_two_bad_keys(draw):
+    values = draw(st.lists(int64s, max_size=30))
+    for bad in draw(st.lists(bad_keys, min_size=2, max_size=2)):
+        values.insert(draw(st.integers(min_value=0, max_value=len(values))), bad)
+    return values
+
+
+def rejection(fn, values) -> tuple[type, str]:
+    with pytest.raises((TypeError, OverflowError)) as err:
+        fn(list(values))
+    return type(err.value), str(err.value)
+
+
+@example(values=[2**63, 10**19])
+@example(values=[-(2**63) - 1, 5, 10**19])
+@example(values=[2**63, True])
+@settings(deadline=None, max_examples=100)
+@given(values=lists_with_two_bad_keys())
+def test_keys_have_one_order_of_rejection(values):
+    # every entry point names the first bad key in input order, the same way
+    first = next(x for x in values if type(x) is not int or not -(2**63) <= x < 2**63)
+    seen = {name: rejection(run, values) for name, run in ALGORITHMS.items()}
+    seen["distribute"] = rejection(distribute, values)
+    assert len(set(seen.values())) == 1, seen
+    assert seen["distribute"][1].startswith(f"{first!r} "), seen
 
 
 @settings(deadline=None, max_examples=120)
