@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import statistics
 import time
-from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from dataclasses import dataclass, fields, replace
+from typing import Iterable, Sequence, get_type_hints
 
 from .buckets import ALGORITHMS
 from .datagen import PRNG_NAME, DatasetSpec, generate
@@ -176,17 +176,8 @@ def summarize(report: BenchmarkReport) -> list[SummaryRow]:
 
 def report_to_csv(report: BenchmarkReport) -> str:
     """Serialize: `# key=value` metadata lines, exact header, one row per trial."""
-    m = report.meta
-    lines = [
-        f"# prng={m.prng}",
-        f"# seed={m.seed}",
-        f"# value_lo={m.value_lo}",
-        f"# value_hi={m.value_hi}",
-        f"# clock={m.clock}",
-        f"# warmup={m.warmup}",
-        f"# trials={m.trials}",
-        CSV_HEADER,
-    ]
+    lines = [f"# {f.name}={getattr(report.meta, f.name)}" for f in fields(ReportMeta)]
+    lines.append(CSV_HEADER)
     for r in report.rows:
         lines.append(
             f"{r.algorithm},{r.distribution},{r.n},{r.trial},{r.elapsed_ns},"
@@ -229,16 +220,9 @@ def report_from_csv(text: str) -> BenchmarkReport:
         )
     if not header_seen:
         raise BenchmarkError("missing CSV header")
+    types = get_type_hints(ReportMeta)
     try:
-        meta = ReportMeta(
-            prng=meta_kv["prng"],
-            seed=int(meta_kv["seed"]),
-            value_lo=int(meta_kv["value_lo"]),
-            value_hi=int(meta_kv["value_hi"]),
-            clock=meta_kv["clock"],
-            warmup=int(meta_kv["warmup"]),
-            trials=int(meta_kv["trials"]),
-        )
+        meta = ReportMeta(**{f.name: types[f.name](meta_kv[f.name]) for f in fields(ReportMeta)})
     except KeyError as exc:
         raise BenchmarkError(f"missing metadata key {exc}") from None
     except ValueError as exc:

@@ -55,7 +55,6 @@ class BucketTable:
     """
 
     __match_args__ = ("buckets",)
-    __hash__ = None  # type: ignore[assignment]
 
     def __init__(self, buckets: list[list[int]] | None = None) -> None:
         self.buckets = [[]] if buckets is None else buckets

@@ -2,11 +2,12 @@
 
 Exit codes: 0 success, 1 bad ``--trials``/``--warmup`` or a benchmark
 run that failed verification, 2 unreadable input or unwritable output
-(a file or stdout), 3 unparseable, non-ASCII or out-of-range integer
-(the diagnostic names the line), 4 invalid dataset spec, 5 unknown
-benchmark algorithm.  Output files are written atomically and stdout is
-only written after the whole input has parsed, so error paths never
-leave partial output behind.
+(a file, stdout, or the ``--metrics`` line on stderr), 3 unparseable,
+non-ASCII or out-of-range integer (the diagnostic names the line), 4
+invalid dataset spec, 5 unknown benchmark algorithm; an unwritable
+stderr loses the message but not the code.  Output files are written
+atomically and stdout is only written after the whole input has parsed,
+so error paths never leave partial output behind.
 
 ``sort`` loads only the sorts; ``gen`` and ``bench`` import the dataset
 generators and the timing harness when they run.
@@ -141,10 +142,14 @@ def cmd_sort(args: argparse.Namespace) -> int:
     result = ALGORITHMS[args.algo](values, metrics)
     write_text("-", "".join(f"{v}\n" for v in result))
     if args.metrics:
-        print(
-            f"comparisons={metrics.comparisons} swaps={metrics.swaps} writes={metrics.writes}",
-            file=sys.stderr,
-        )
+        try:
+            print(
+                f"comparisons={metrics.comparisons} swaps={metrics.swaps} writes={metrics.writes}",
+                file=sys.stderr,
+                flush=True,
+            )
+        except OSError as exc:
+            raise CliError(EXIT_IO, f"cannot write to stderr: {exc}") from None
     return EXIT_OK
 
 
@@ -250,7 +255,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.func(args)
     except CliError as exc:
-        print(f"arcsort: error: {exc}", file=sys.stderr)
+        try:
+            print(f"arcsort: error: {exc}", file=sys.stderr, flush=True)
+        except OSError:
+            pass  # stderr is unwritable; the exit code still reports the error
         return exc.code
 
 

@@ -29,9 +29,11 @@ class DatasetError(ValueError):
 class DatasetSpec:
     """Description of one reproducible dataset.
 
-    ``value_lo``/``value_hi`` bound the uniform and with-negatives draws;
-    ``digit_class`` selects the bucket for single-bucket data; ``distinct``
-    forces sampling without replacement where it applies.
+    ``value_lo``/``value_hi`` bound every draw but single-bucket's, which
+    draws from ``digit_class``'s range; one-per-bucket draws one value
+    per digit class.  ``distinct`` draws without replacement, as the
+    sorted regimes always do; every draw without replacement needs at
+    least ``n`` values in its range.
     """
 
     distribution: str
@@ -43,9 +45,21 @@ class DatasetSpec:
     distinct: bool = False
 
 
+_MONOTONE = ("sorted-ascending", "reverse-sorted")
+
+
 def _digit_range(d: int) -> tuple[int, int]:
     """Inclusive value range of positive integers with exactly d digits."""
     return 10 ** (d - 1), min(10**d - 1, INT64_MAX)
+
+
+def _draw(spec: DatasetSpec) -> tuple[int, int, bool]:
+    """Inclusive range of every draw but one-per-bucket's, and whether it is without replacement."""
+    if spec.distribution == "single-bucket":
+        lo, hi = _digit_range(spec.digit_class)
+    else:
+        lo, hi = spec.value_lo, spec.value_hi
+    return lo, hi, spec.distinct or spec.distribution in _MONOTONE
 
 
 def _validate(spec: DatasetSpec) -> None:
@@ -60,70 +74,47 @@ def _validate(spec: DatasetSpec) -> None:
     if spec.value_lo < INT64_MIN or spec.value_hi > INT64_MAX:
         raise DatasetError("value range exceeds the signed 64-bit domain")
 
-    if spec.distribution == "one-per-bucket" and spec.n > MAX_DIGITS:
-        raise DatasetError(
-            f"one-per-bucket supports at most {MAX_DIGITS} elements "
-            f"(one per digit class), got n={spec.n}"
-        )
-    if spec.distribution == "single-bucket":
-        d = spec.digit_class
-        if d is None or not 1 <= d <= MAX_DIGITS:
+    if spec.distribution == "one-per-bucket":
+        if spec.n > MAX_DIGITS:
             raise DatasetError(
-                f"single-bucket needs digit_class in [1, {MAX_DIGITS}], got {d}"
+                f"one-per-bucket supports at most {MAX_DIGITS} elements "
+                f"(one per digit class), got n={spec.n}"
             )
-        if spec.distinct:
-            lo, hi = _digit_range(d)
-            if hi - lo + 1 < spec.n:
-                raise DatasetError(
-                    f"digit class {d} holds only {hi - lo + 1} distinct values, "
-                    f"cannot supply {spec.n}"
-                )
-    if spec.distribution in ("sorted-ascending", "reverse-sorted"):
-        if spec.value_hi - spec.value_lo + 1 < spec.n:
-            raise DatasetError(
-                f"range [{spec.value_lo}, {spec.value_hi}] holds fewer than "
-                f"{spec.n} distinct values"
-            )
+        return
+    d = spec.digit_class
+    if spec.distribution == "single-bucket" and (d is None or not 1 <= d <= MAX_DIGITS):
+        raise DatasetError(f"single-bucket needs digit_class in [1, {MAX_DIGITS}], got {d}")
     if spec.distribution == "with-negatives" and not spec.value_lo < 0 < spec.value_hi:
         raise DatasetError(
             f"with-negatives needs a range straddling zero, got "
             f"[{spec.value_lo}, {spec.value_hi}]"
         )
+    lo, hi, distinct = _draw(spec)
+    if distinct and hi - lo + 1 < spec.n:
+        raise DatasetError(f"range [{lo}, {hi}] holds fewer than {spec.n} distinct values")
 
 
 def generate(spec: DatasetSpec) -> list[int]:
     """Produce the dataset described by ``spec``.
 
     Raises :class:`DatasetError` for invalid specs (unknown distribution,
-    impossible n, a digit class that cannot supply enough distinct values
-    when distinctness is requested, ...).
+    impossible n, a draw without replacement whose range holds fewer
+    than n values, ...).
     """
     _validate(spec)
     rng = random.Random(spec.seed)
     dist = spec.distribution
     n = spec.n
 
-    if dist in ("uniform", "with-negatives"):
-        lo, hi = spec.value_lo, spec.value_hi
-        if spec.distinct:
-            return rng.sample(range(lo, hi + 1), n)
-        return [rng.randint(lo, hi) for _ in range(n)]
-
     if dist == "one-per-bucket":
-        values = []
-        for d in range(1, n + 1):
-            lo, hi = _digit_range(d)
-            values.append(rng.randint(lo, hi))
+        values = [rng.randint(*_digit_range(d)) for d in range(1, n + 1)]
         rng.shuffle(values)
         return values
 
-    if dist == "single-bucket":
-        lo, hi = _digit_range(spec.digit_class)
-        if spec.distinct:
-            return rng.sample(range(lo, hi + 1), n)
+    lo, hi, distinct = _draw(spec)
+    if not distinct:
         return [rng.randint(lo, hi) for _ in range(n)]
-
-    # sorted-ascending / reverse-sorted: distinct draws, strictly monotone.
-    values = rng.sample(range(spec.value_lo, spec.value_hi + 1), n)
-    values.sort(reverse=dist == "reverse-sorted")
+    values = rng.sample(range(lo, hi + 1), n)
+    if dist in _MONOTONE:
+        values.sort(reverse=dist == "reverse-sorted")
     return values

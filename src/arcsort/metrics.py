@@ -14,7 +14,6 @@ class SortMetrics:
     """
 
     __match_args__ = ("comparisons", "swaps", "writes")
-    __hash__ = None  # type: ignore[assignment]
 
     def __init__(self, comparisons: int = 0, swaps: int = 0, writes: int = 0) -> None:
         self.comparisons = comparisons

@@ -178,6 +178,21 @@ def test_csv_malformed_metadata_rejected():
         report_from_csv(text)
 
 
+@pytest.mark.parametrize(
+    "key", ["prng", "seed", "value_lo", "value_hi", "clock", "warmup", "trials"]
+)
+def test_csv_missing_metadata_key_named(key):
+    text = report_to_csv(small_report(sizes=[4], trials=1))
+    kept = [l for l in text.splitlines() if not l.startswith(f"# {key}=")]
+    with pytest.raises(BenchmarkError, match=f"missing metadata key '{key}'"):
+        report_from_csv("\n".join(kept) + "\n")
+
+
+def test_csv_ignores_unknown_metadata_key():
+    report = small_report(sizes=[4], trials=1)
+    assert report_from_csv("# backend=pure\n" + report_to_csv(report)) == report
+
+
 def test_plot_data_grid():
     report = small_report(
         algorithms=["arc", "selection", "insertion", "bubble"],

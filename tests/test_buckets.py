@@ -213,3 +213,18 @@ def test_algorithms_are_the_public_sorts():
         data = list(GOLDEN_INPUT)
         assert sort(data) is data, name
         assert data == GOLDEN_OUTPUT
+
+
+@pytest.mark.parametrize(
+    "make, other",
+    [
+        (lambda: SortMetrics(3, 1, 2), SortMetrics(3, 1, 0)),
+        (lambda: BucketTable([[0], [5, 3]]), BucketTable([[0], [3, 5]])),
+    ],
+    ids=["SortMetrics", "BucketTable"],
+)
+def test_records_compare_by_value_and_are_unhashable(make, other):
+    assert make() == make()
+    assert make() != other
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(make())

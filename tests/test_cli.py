@@ -173,6 +173,11 @@ def test_sort_metrics_flag_goes_to_stderr(tmp_path, capsys):
     assert "comparisons=3" in captured.err
 
 
+def test_sort_metrics_line_is_exact(tmp_path, capsys):
+    assert main(["sort", "--algo", "arc", "--metrics", write(tmp_path, "in.txt", GOLDEN)]) == 0
+    assert capsys.readouterr().err == "comparisons=4 swaps=1 writes=0\n"
+
+
 def test_all_algorithms_agree_byte_for_byte(tmp_path, capsys):
     path = write(tmp_path, "in.txt", GOLDEN)
     outputs = set()
@@ -272,6 +277,27 @@ def test_stdout_to_full_device_exit_2(tmp_path, command):
     assert proc.stderr.startswith(b"arcsort: error: cannot write '-'")
     assert b"Traceback" not in proc.stderr
     assert b"Exception ignored" not in proc.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize(
+    "argv, stdin, code, stdout",
+    [
+        (["sort", "--algo", "arc", "--metrics", "-"], b"3\n1\n", 2, b"1\n3\n"),
+        (["sort", "--algo", "arc", "-"], b"3\nx\n", 3, b""),
+        (["gen", "--dist", "nope", "--n", "3", "--seed", "1", "-o", "-"], b"", 4, b""),
+    ],
+    ids=["metrics", "bad-line", "bad-spec"],
+)
+def test_stderr_to_full_device_keeps_exit_code(argv, stdin, code, stdout):
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "arcsort", *argv],
+            input=stdin,
+            stdout=subprocess.PIPE,
+            stderr=full,
+        )
+    assert (proc.returncode, proc.stdout) == (code, stdout)
 
 
 def test_bench_unknown_algo_exit_5(tmp_path):

@@ -106,3 +106,23 @@ def test_empty_range_rejected():
 
 def test_n_zero_is_empty():
     assert generate(spec(n=0)) == []
+
+
+@pytest.mark.parametrize(
+    "kw, message",
+    [
+        (dict(value_lo=0, value_hi=3), r"range \[0, 3\] holds fewer than 10 distinct values"),
+        (
+            dict(distribution="with-negatives", value_lo=-2, value_hi=2),
+            r"range \[-2, 2\] holds fewer than 10 distinct values",
+        ),
+        (
+            dict(distribution="single-bucket", digit_class=1),
+            r"range \[1, 9\] holds fewer than 10 distinct values",
+        ),
+    ],
+    ids=["uniform", "with-negatives", "single-bucket"],
+)
+def test_distinct_draws_need_enough_values(kw, message):
+    with pytest.raises(DatasetError, match=message):
+        generate(spec(n=10, distinct=True, **kw))
