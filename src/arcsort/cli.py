@@ -1,24 +1,27 @@
 """Command-line front end: ``sort``, ``gen``, and ``bench`` subcommands.
 
 Exit codes: 0 success, 1 bad ``--trials``/``--warmup`` or a benchmark
-run that failed verification, 2 unreadable input or unwritable output
-(a file, stdout, or the ``--metrics`` line on stderr), 3 unparseable,
-non-ASCII or out-of-range integer (the diagnostic names the line), 4
-invalid dataset spec, 5 unknown benchmark algorithm; an unwritable
-stderr loses the message but not the code.  Output files are written
-atomically and stdout is only written after the whole input has parsed,
-so error paths never leave partial output behind.
+run that failed verification, 2 unreadable input, unwritable output (a
+file, stdout or stderr) or both ``bench`` outputs on stdout, 3
+unparseable, non-ASCII or out-of-range integer (the diagnostic names the
+line), 4 invalid dataset spec, 5 unknown benchmark algorithm; an
+unwritable stderr loses the message but not the code.  Output files are
+written atomically and stdout is only written after the whole input has
+parsed, so error paths never leave partial output behind; ``bench``
+prints its summary on stderr when ``-o -`` or ``--plot -`` takes stdout.
 
-``sort`` loads only the sorts; ``gen`` and ``bench`` import the dataset
-generators and the timing harness when they run.
+``sort`` loads only the sorts and parses a plain command line without
+argparse, which loads only for other commands, help and usage errors;
+``gen`` and ``bench`` import the dataset generators and the timing
+harness when they run.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from collections.abc import Sequence
+from types import SimpleNamespace
 
 from .buckets import (
     ALGORITHMS,
@@ -28,6 +31,10 @@ from .buckets import (
 )
 from .metrics import SortMetrics
 from .sorts import INT64_MAX, INT64_MIN
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
+if TYPE_CHECKING:
+    import argparse
 
 EXIT_OK = 0
 EXIT_IO = 2
@@ -132,6 +139,14 @@ def write_text(path: str, text: str) -> None:
         raise CliError(EXIT_IO, f"cannot write {path!r}: {exc}") from None
 
 
+def write_stderr(text: str) -> None:
+    """Write ``text`` to stderr now; raises :class:`CliError` with exit 2 if it cannot."""
+    try:
+        print(text, end="", file=sys.stderr, flush=True)
+    except OSError as exc:
+        raise CliError(EXIT_IO, f"cannot write to stderr: {exc}") from None
+
+
 def _csv_list(text: str) -> list[str]:
     return [item.strip() for item in text.split(",") if item.strip()]
 
@@ -142,14 +157,9 @@ def cmd_sort(args: argparse.Namespace) -> int:
     result = ALGORITHMS[args.algo](values, metrics)
     write_text("-", "".join(f"{v}\n" for v in result))
     if args.metrics:
-        try:
-            print(
-                f"comparisons={metrics.comparisons} swaps={metrics.swaps} writes={metrics.writes}",
-                file=sys.stderr,
-                flush=True,
-            )
-        except OSError as exc:
-            raise CliError(EXIT_IO, f"cannot write to stderr: {exc}") from None
+        write_stderr(
+            f"comparisons={metrics.comparisons} swaps={metrics.swaps} writes={metrics.writes}\n"
+        )
     return EXIT_OK
 
 
@@ -176,6 +186,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     from . import bench
     from .datagen import DatasetError, DatasetSpec
 
+    if args.output == args.plot == "-":
+        raise CliError(EXIT_IO, "-o and --plot cannot both be stdout")
     try:
         sizes = [int(s) for s in _csv_list(args.sizes)]
     except ValueError as exc:
@@ -200,15 +212,45 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise CliError(code, str(exc)) from exc
     if args.plot:
         write_text(args.plot, bench.emit_plot_data(summary))
-    write_text("-", "".join(
+    table = "".join(
         f"{row.algorithm:>18s}  n={row.n:<8d} median={row.median_ns / 1e6:10.3f} ms  "
         f"mean={row.mean_ns / 1e6:10.3f} ms  comparisons={row.mean_comparisons:.0f}\n"
         for row in summary
-    ))
+    )
+    if "-" in (args.output, args.plot):
+        write_stderr(table)  # stdout holds the CSV or the plot data
+    else:
+        write_text("-", table)
     return EXIT_OK
 
 
+def _sort_args(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The namespace argparse gives a plain ``sort`` command line, else None.
+
+    Plain is ``sort`` then, in any order, ``--algo NAME`` or ``--algo=NAME``
+    once, ``--metrics`` at most once and one input, ``-`` or a non-option.
+    """
+    if not argv or argv[0] != "sort":
+        return None
+    args = SimpleNamespace(command="sort", algo=None, metrics=False, input=None, func=cmd_sort)
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token == "--algo":
+            token += "=" + next(tokens, "")
+        if token.startswith("--algo=") and args.algo is None:
+            args.algo = token[len("--algo="):]
+        elif token == "--metrics" and not args.metrics:
+            args.metrics = True
+        elif (token == "-" or not token.startswith("-")) and args.input is None:
+            args.input = token
+        else:
+            return None
+    return args if args.algo in ALGORITHMS and args.input is not None else None
+
+
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="arcsort",
         description="Sort integers by digit-count bucketing, generate datasets, run benchmarks.",
@@ -251,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _sort_args(sys.argv[1:] if argv is None else argv) or build_parser().parse_args(argv)
     try:
         return args.func(args)
     except CliError as exc:

@@ -69,11 +69,6 @@ def _validate(spec: DatasetSpec) -> None:
         )
     if spec.n < 0:
         raise DatasetError(f"n must be >= 0, got {spec.n}")
-    if spec.value_lo > spec.value_hi:
-        raise DatasetError(f"empty value range [{spec.value_lo}, {spec.value_hi}]")
-    if spec.value_lo < INT64_MIN or spec.value_hi > INT64_MAX:
-        raise DatasetError("value range exceeds the signed 64-bit domain")
-
     if spec.distribution == "one-per-bucket":
         if spec.n > MAX_DIGITS:
             raise DatasetError(
@@ -84,12 +79,14 @@ def _validate(spec: DatasetSpec) -> None:
     d = spec.digit_class
     if spec.distribution == "single-bucket" and (d is None or not 1 <= d <= MAX_DIGITS):
         raise DatasetError(f"single-bucket needs digit_class in [1, {MAX_DIGITS}], got {d}")
-    if spec.distribution == "with-negatives" and not spec.value_lo < 0 < spec.value_hi:
-        raise DatasetError(
-            f"with-negatives needs a range straddling zero, got "
-            f"[{spec.value_lo}, {spec.value_hi}]"
-        )
+    # The draw's range: single-bucket's digit class is never empty and fits int64.
     lo, hi, distinct = _draw(spec)
+    if lo > hi:
+        raise DatasetError(f"empty value range [{lo}, {hi}]")
+    if lo < INT64_MIN or hi > INT64_MAX:
+        raise DatasetError("value range exceeds the signed 64-bit domain")
+    if spec.distribution == "with-negatives" and not lo < 0 < hi:
+        raise DatasetError(f"with-negatives needs a range straddling zero, got [{lo}, {hi}]")
     if distinct and hi - lo + 1 < spec.n:
         raise DatasetError(f"range [{lo}, {hi}] holds fewer than {spec.n} distinct values")
 

@@ -7,10 +7,19 @@ import os
 import stat
 import subprocess
 import sys
+from itertools import chain, product
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from arcsort.cli import main
+import arcsort
+from arcsort import ALGORITHMS
+from arcsort.bench import report_from_csv, report_to_csv
+from arcsort.cli import _sort_args, build_parser, main
+
+SRC = str(Path(arcsort.__file__).resolve().parent.parent)
 
 GOLDEN = "349\n34\n-72\n22\n14\n-1\n"
 GOLDEN_SORTED = "-72\n-1\n14\n22\n34\n349\n"
@@ -357,3 +366,112 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout == GOLDEN_SORTED
+
+
+def test_bench_csv_on_stdout_reads_back(capsys):
+    argv = ["bench", "--algos", "arc", "--sizes", "4", "--trials", "1", "--warmup", "0", "-o", "-"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert report_to_csv(report_from_csv(captured.out)) == captured.out
+    assert "median" in captured.err  # the summary moves to stderr
+
+
+def test_bench_plot_on_stdout_is_only_the_plot(tmp_path, capsys):
+    argv = ["bench", "--algos", "arc", "--sizes", "4", "--trials", "1", "--warmup", "0"]
+    assert main([*argv, "-o", str(tmp_path / "r.csv"), "--plot", "-"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[0] == "# n\tarc"
+    assert len(captured.out.splitlines()) == 2
+    assert "median" in captured.err
+
+
+def test_bench_refuses_csv_and_plot_both_on_stdout(capsys):
+    argv = ["bench", "--algos", "arc", "--sizes", "4", "--trials", "1", "--warmup", "0"]
+    assert main([*argv, "-o", "-", "--plot", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "arcsort: error: -o and --plot cannot both be stdout\n"
+
+
+@pytest.mark.parametrize(
+    "dist", [["single-bucket", "--digit-class", "3"], ["one-per-bucket"]], ids=lambda d: d[0]
+)
+def test_gen_ignores_a_value_range_it_does_not_draw_from(capsys, dist):
+    argv = ["gen", "--dist", *dist, "--n", "3", "--seed", "1", "-o", "-"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    assert main([*argv, "--min", "5", "--max", "4"]) == 0
+    assert capsys.readouterr().out == expected
+
+
+# Tokens the fast sort parser and argparse are compared on.
+TOKENS = [
+    "sort", "gen", "bench", "--algo", "--algo=arc", "--algo=nope", "--algo=", *ALGORITHMS,
+    "nope", "--metrics", "--metrics=1", "--met", "--al", "-h", "--help", "-", "--", "-5", "",
+    "x.txt",
+]
+
+
+# ``--algo NAME`` drawn as one piece, so that whole sort command lines are common.
+PIECES = st.sampled_from([["--algo", name] for name in ALGORITHMS] + [[t] for t in TOKENS])
+
+
+@settings(max_examples=300)
+@given(
+    argv=st.lists(st.sampled_from(TOKENS), max_size=6)
+    | st.lists(PIECES, max_size=4).map(lambda pieces: ["sort", *sum(pieces, [])]),
+    canonical=st.just(False),
+)
+@example(argv=["sort", "--algo", "arc", "x.txt"], canonical=True)
+@example(argv=["sort", "--algo=bubble", "--metrics", "-"], canonical=True)
+@example(argv=["sort", "x.txt", "--metrics", "--algo", "insertion"], canonical=True)
+@example(argv=["sort", "-", "--algo=enhanced-selection"], canonical=True)
+@example(argv=["sort", "--metrics", "", "--algo", "selection"], canonical=True)
+def test_sort_args_agree_with_argparse(argv, canonical):
+    args = _sort_args(argv)
+    if canonical:
+        assert args is not None
+    if args is not None:
+        assert vars(args) == vars(build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("head", [["--algo", "arc"], ["--metrics", "--algo=bubble"]])
+def test_sort_args_agree_with_argparse_on_every_token_pair(head):
+    """Every one or two tokens after, or around, a valid ``--algo``."""
+    for tail in chain(product(TOKENS), product(TOKENS, repeat=2)):
+        for argv in (["sort", *head, *tail], ["sort", tail[0], *head, *tail[1:]]):
+            args = _sort_args(argv)
+            assert args is None or vars(args) == vars(build_parser().parse_args(argv)), argv
+
+
+USAGE = (
+    b"usage: arcsort sort [-h] --algo\n"
+    b"                    {arc,bubble,enhanced-selection,insertion,selection}\n"
+    b"                    [--metrics]\n"
+    b"                    file\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, stderr",
+    [
+        (
+            ["sort", "--algo", "nope", "x"],
+            USAGE + b"arcsort sort: error: argument --algo: invalid choice: 'nope' (choose from "
+            b"'arc', 'bubble', 'enhanced-selection', 'insertion', 'selection')\n",
+        ),
+        (
+            ["sort", "--al", "arc", "FILE"],
+            b"arcsort: error: cannot read 'FILE': [Errno 2] No such file or directory: 'FILE'\n",
+        ),
+        (["sort"], USAGE + b"arcsort sort: error: the following arguments are required: --algo, file\n"),
+    ],
+    ids=["bad-choice", "abbreviation", "no-arguments"],
+)
+def test_sort_usage_errors_are_argparses(tmp_path, argv, stderr):
+    env = {**os.environ, "COLUMNS": "80"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "arcsort", *argv], capture_output=True, cwd=tmp_path, env=env
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", stderr)

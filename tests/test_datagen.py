@@ -5,6 +5,14 @@ from __future__ import annotations
 import pytest
 
 from arcsort import DatasetError, DatasetSpec, count_digits, generate
+from arcsort.sorts import INT64_MAX, INT64_MIN
+
+# Value ranges that break the empty-range and the int64 rule.
+BAD_RANGES = pytest.mark.parametrize(
+    "lo, hi, message",
+    [(5, 4, r"empty value range \[5, 4\]"), (INT64_MIN - 1, INT64_MAX, "64-bit")],
+    ids=["empty", "beyond-int64"],
+)
 
 
 def spec(**kw):
@@ -102,6 +110,22 @@ def test_negative_n_rejected():
 def test_empty_range_rejected():
     with pytest.raises(DatasetError):
         generate(spec(value_lo=5, value_hi=4))
+
+
+@BAD_RANGES
+@pytest.mark.parametrize("distribution", ["uniform", "with-negatives", "sorted-ascending"])
+def test_value_range_is_checked_where_it_is_drawn_from(distribution, lo, hi, message):
+    with pytest.raises(DatasetError, match=message):
+        generate(spec(distribution=distribution, value_lo=lo, value_hi=hi))
+
+
+@BAD_RANGES
+@pytest.mark.parametrize(
+    "kw", [dict(distribution="single-bucket", digit_class=3), dict(distribution="one-per-bucket")],
+    ids=["single-bucket", "one-per-bucket"],
+)
+def test_value_range_is_ignored_where_it_is_not_drawn_from(kw, lo, hi, message):
+    assert generate(spec(n=3, value_lo=lo, value_hi=hi, **kw)) == generate(spec(n=3, **kw))
 
 
 def test_n_zero_is_empty():

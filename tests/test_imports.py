@@ -16,9 +16,18 @@ from arcsort.cli import main
 SRC = str(Path(arcsort.__file__).resolve().parent.parent)
 DEFINING_MODULES = [metrics, sorts, buckets, datagen, bench]
 
-# Modules the sort path has no use for, with the heavy standard library
-# that bench and datagen pull in.
-NOT_ON_SORT_PATH = {"arcsort.bench", "arcsort.datagen", "statistics", "dataclasses", "inspect"}
+# Modules the sort path has no use for: bench and datagen with the heavy
+# standard library they pull in, and argparse with what it loads.
+NOT_ON_SORT_PATH = {
+    "arcsort.bench",
+    "arcsort.datagen",
+    "statistics",
+    "dataclasses",
+    "inspect",
+    "argparse",
+    "gettext",
+    "locale",
+}
 
 
 def python(*args: str, stdin: bytes = b"") -> subprocess.CompletedProcess:
@@ -39,11 +48,22 @@ def imported(*args: str, stdin: bytes = b"") -> set[str]:
     }
 
 
-def test_sort_command_loads_only_the_sort_path():
+def sort_loads_off_path(*args: str, stdin: bytes = b"") -> set[str]:
+    """The modules of NOT_ON_SORT_PATH that ``arcsort sort *args`` imports."""
     bare = imported("-c", "pass")
-    loaded = imported("-m", "arcsort", "sort", "--algo", "arc", "-", stdin=b"349\n34\n-72\n")
+    loaded = imported("-m", "arcsort", "sort", *args, stdin=stdin)
     assert "arcsort.buckets" in loaded  # the probe sees the package's own imports
-    assert (loaded - bare) & NOT_ON_SORT_PATH == set()
+    return (loaded - bare) & NOT_ON_SORT_PATH
+
+
+def test_sort_command_loads_only_the_sort_path():
+    assert sort_loads_off_path("--algo", "arc", "-", stdin=b"349\n34\n-72\n") == set()
+
+
+def test_sort_of_a_file_with_metrics_loads_only_the_sort_path(tmp_path):
+    path = tmp_path / "in.txt"
+    path.write_bytes(b"349\n34\n-72\n")
+    assert sort_loads_off_path("--algo", "insertion", "--metrics", str(path)) == set()
 
 
 def test_bench_and_datagen_load_on_first_use():
