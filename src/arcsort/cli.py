@@ -203,8 +203,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         report = bench.run_benchmark(
             _csv_list(args.algos), sizes, template, trials=args.trials, warmup=args.warmup
         )
+        summary = bench.summarize(report)  # refuses an empty report before any output
         write_text(args.output, bench.report_to_csv(report))
-        summary = bench.summarize(report)
     except DatasetError as exc:
         raise CliError(EXIT_BAD_SPEC, str(exc)) from exc
     except bench.BenchmarkError as exc:

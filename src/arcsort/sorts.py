@@ -10,7 +10,9 @@ Each sort has exactly one definition, the plain-Python loop below.  The
 two selection sorts scan each pass by value, with no per-element
 subscript, and search for the swap slot only when a swap is due; they
 pass through the states of the index loops in ``tests/oracles.py``, so
-their outputs and counts are the same.
+their outputs and counts are the same.  Insertion sort ends each pass in
+its index loop's state too, but reports that loop's comparison count, not
+the comparisons it runs: ROADMAP allows that to the baselines only.
 
 Every sort first applies the key rule of :func:`check_keys`, once per
 call: a non-int key with ``__index__`` is replaced by its int, and a
@@ -21,6 +23,7 @@ there; :func:`~arcsort.buckets.distribute` calls it too.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import MutableSequence
 from operator import index, indexOf
 
@@ -122,10 +125,11 @@ def selection_sort(data: MutableSequence[int], metrics: SortMetrics | None = Non
 
 
 def insertion_sort(data: MutableSequence[int], metrics: SortMetrics | None = None) -> MutableSequence[int]:
-    """Shift-based insertion sort, scanning left while strictly greater.
-
-    Comparisons count every executed ``data[j] > key`` test; writes count
-    the shift stores only, not the final key placement.
+    """Insertion sort: a key no smaller than its left neighbour costs one
+    comparison; any other goes to the slot ``bisect_right`` finds, where the
+    shift loop in ``tests/oracles.py`` stops, and its block moves in one step.
+    Every pass ends in that loop's state, and the counts are that loop's:
+    shift stores and ``data[j] > key`` tests, not the comparisons run here.
     """
     check_keys(data)
     if metrics is None:
@@ -134,15 +138,14 @@ def insertion_sort(data: MutableSequence[int], metrics: SortMetrics | None = Non
     writes = 0
     for i in range(1, len(data)):
         key = data[i]
-        j = i - 1
-        while j >= 0 and data[j] > key:
-            data[j + 1] = data[j]
-            writes += 1
+        if data[i - 1] <= key:
             comparisons += 1
-            j -= 1
-        if j >= 0:
-            comparisons += 1  # the failed data[j] > key test that ended the scan
-        data[j + 1] = key
+            continue
+        pos = bisect_right(data, key, 0, i - 1)
+        del data[i]
+        data.insert(pos, key)
+        writes += i - pos
+        comparisons += i - pos + (pos > 0)  # plus the test that stopped the scan, if one did
     metrics.comparisons += comparisons
     metrics.writes += writes
     return data

@@ -61,6 +61,30 @@ def reference_selection(values: list[int]) -> tuple[list[int], int, int]:
     return a, comparisons, swaps
 
 
+def reference_insertion(values: list[int]) -> tuple[list[int], int, int]:
+    """Return (sorted copy, comparisons, writes) of index-loop insertion.
+
+    Pass i shifts right every element of ``data[:i]`` that is strictly
+    greater than the key, counting each executed ``data[j] > key`` test
+    and each shift store; the final key placement is not a counted write.
+    """
+    data = list(values)
+    comparisons = 0
+    writes = 0
+    for i in range(1, len(data)):
+        key = data[i]
+        j = i - 1
+        while j >= 0 and data[j] > key:
+            data[j + 1] = data[j]
+            writes += 1
+            comparisons += 1
+            j -= 1
+        if j >= 0:
+            comparisons += 1  # the failed data[j] > key test that ended the scan
+        data[j + 1] = key
+    return data, comparisons, writes
+
+
 def reference_digit_class(x: int) -> int:
     """Digit count of x via decade bounds: d such that 10**(d-1) <= x < 10**d."""
     if x <= 0:

@@ -30,7 +30,8 @@ def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
 
 
 def _warm_all() -> None:
-    # touch every algorithm once so JIT compilation stays out of timed regions
+    # touch every algorithm once so first-call costs (bytecode specialization,
+    # cold caches) stay out of timed regions
     for run in ALGORITHMS.values():
         run([3, 1, 2], SortMetrics())
 

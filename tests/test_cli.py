@@ -322,6 +322,15 @@ def test_bench_bad_repetitions_exit_1(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("grid", [["--sizes", ""], ["--algos", ","]], ids=["no-sizes", "no-algos"])
+def test_bench_empty_grid_leaves_no_output(tmp_path, capsys, grid):
+    out = tmp_path / "r.csv"
+    argv = ["bench", "--algos", "arc", "--sizes", "4", "--trials", "1", "--warmup", "0"]
+    assert main([*argv, *grid, "-o", str(out)]) == 1
+    assert capsys.readouterr().err == "arcsort: error: cannot summarize an empty report\n"
+    assert not out.exists()
+
+
 def test_bench_grid_row_count(tmp_path, capsys):
     out = tmp_path / "r.csv"
     rc = main([

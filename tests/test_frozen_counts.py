@@ -17,6 +17,9 @@ from arcsort.datagen import DatasetSpec
 GRIDS = {
     ("uniform", 11): (0, 1, 2, 50, 300),
     ("with-negatives", 3): (1, 7, 200),
+    # monotone input: insertion's early-exit guard and its full shift
+    ("sorted-ascending", 5): (1, 2, 50, 300),
+    ("reverse-sorted", 7): (1, 2, 50, 300),
 }
 
 # (distribution, algorithm, n) -> per-trial (comparisons, swaps, writes)
@@ -98,6 +101,94 @@ FROZEN = {
     ],
     ("with-negatives", "bubble", 200): [
         (19809, 10284, 0), (18772, 10500, 0), (19879, 9711, 0), (19879, 10091, 0), (19647, 10275, 0),
+    ],
+    ("sorted-ascending", "arc", 1): [(0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0)],
+    ("sorted-ascending", "arc", 2): [(0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0)],
+    ("sorted-ascending", "arc", 50): [
+        (516, 0, 0), (576, 0, 0), (636, 0, 0), (554, 0, 0), (532, 0, 0),
+    ],
+    ("sorted-ascending", "arc", 300): [
+        (20398, 0, 0), (20255, 0, 0), (19437, 0, 0), (19749, 0, 0), (20014, 0, 0),
+    ],
+    ("sorted-ascending", "enhanced-selection", 1): [
+        (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0),
+    ],
+    ("sorted-ascending", "enhanced-selection", 2): [
+        (1, 0, 0), (1, 0, 0), (1, 0, 0), (1, 0, 0), (1, 0, 0),
+    ],
+    ("sorted-ascending", "enhanced-selection", 50): [
+        (1225, 0, 0), (1225, 0, 0), (1225, 0, 0), (1225, 0, 0), (1225, 0, 0),
+    ],
+    ("sorted-ascending", "enhanced-selection", 300): [
+        (44850, 0, 0), (44850, 0, 0), (44850, 0, 0), (44850, 0, 0), (44850, 0, 0),
+    ],
+    ("sorted-ascending", "selection", 1): [(0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0)],
+    ("sorted-ascending", "selection", 2): [(1, 0, 0), (1, 0, 0), (1, 0, 0), (1, 0, 0), (1, 0, 0)],
+    ("sorted-ascending", "selection", 50): [
+        (1225, 0, 0), (1225, 0, 0), (1225, 0, 0), (1225, 0, 0), (1225, 0, 0),
+    ],
+    ("sorted-ascending", "selection", 300): [
+        (44850, 0, 0), (44850, 0, 0), (44850, 0, 0), (44850, 0, 0), (44850, 0, 0),
+    ],
+    ("sorted-ascending", "insertion", 1): [(0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0)],
+    ("sorted-ascending", "insertion", 2): [(1, 0, 0), (1, 0, 0), (1, 0, 0), (1, 0, 0), (1, 0, 0)],
+    ("sorted-ascending", "insertion", 50): [
+        (49, 0, 0), (49, 0, 0), (49, 0, 0), (49, 0, 0), (49, 0, 0),
+    ],
+    ("sorted-ascending", "insertion", 300): [
+        (299, 0, 0), (299, 0, 0), (299, 0, 0), (299, 0, 0), (299, 0, 0),
+    ],
+    ("sorted-ascending", "bubble", 1): [(0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0)],
+    ("sorted-ascending", "bubble", 2): [(1, 0, 0), (1, 0, 0), (1, 0, 0), (1, 0, 0), (1, 0, 0)],
+    ("sorted-ascending", "bubble", 50): [
+        (49, 0, 0), (49, 0, 0), (49, 0, 0), (49, 0, 0), (49, 0, 0),
+    ],
+    ("sorted-ascending", "bubble", 300): [
+        (299, 0, 0), (299, 0, 0), (299, 0, 0), (299, 0, 0), (299, 0, 0),
+    ],
+    ("reverse-sorted", "arc", 1): [(0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0)],
+    ("reverse-sorted", "arc", 2): [(0, 0, 0), (0, 0, 0), (1, 1, 0), (1, 1, 0), (1, 1, 0)],
+    ("reverse-sorted", "arc", 50): [
+        (618, 24, 0), (578, 24, 0), (602, 24, 0), (578, 24, 0), (552, 24, 0),
+    ],
+    ("reverse-sorted", "arc", 300): [
+        (20077, 149, 0), (20472, 148, 0), (20403, 149, 0), (19640, 148, 0), (20535, 149, 0),
+    ],
+    ("reverse-sorted", "enhanced-selection", 1): [
+        (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0),
+    ],
+    ("reverse-sorted", "enhanced-selection", 2): [
+        (1, 1, 0), (1, 1, 0), (1, 1, 0), (1, 1, 0), (1, 1, 0),
+    ],
+    ("reverse-sorted", "enhanced-selection", 50): [
+        (1225, 25, 0), (1225, 25, 0), (1225, 25, 0), (1225, 25, 0), (1225, 25, 0),
+    ],
+    ("reverse-sorted", "enhanced-selection", 300): [
+        (44850, 150, 0), (44850, 150, 0), (44850, 150, 0), (44850, 150, 0), (44850, 150, 0),
+    ],
+    ("reverse-sorted", "selection", 1): [(0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0)],
+    ("reverse-sorted", "selection", 2): [(1, 1, 0), (1, 1, 0), (1, 1, 0), (1, 1, 0), (1, 1, 0)],
+    ("reverse-sorted", "selection", 50): [
+        (1225, 25, 0), (1225, 25, 0), (1225, 25, 0), (1225, 25, 0), (1225, 25, 0),
+    ],
+    ("reverse-sorted", "selection", 300): [
+        (44850, 150, 0), (44850, 150, 0), (44850, 150, 0), (44850, 150, 0), (44850, 150, 0),
+    ],
+    ("reverse-sorted", "insertion", 1): [(0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0)],
+    ("reverse-sorted", "insertion", 2): [(1, 0, 1), (1, 0, 1), (1, 0, 1), (1, 0, 1), (1, 0, 1)],
+    ("reverse-sorted", "insertion", 50): [
+        (1225, 0, 1225), (1225, 0, 1225), (1225, 0, 1225), (1225, 0, 1225), (1225, 0, 1225),
+    ],
+    ("reverse-sorted", "insertion", 300): [
+        (44850, 0, 44850), (44850, 0, 44850), (44850, 0, 44850), (44850, 0, 44850), (44850, 0, 44850),
+    ],
+    ("reverse-sorted", "bubble", 1): [(0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0)],
+    ("reverse-sorted", "bubble", 2): [(1, 1, 0), (1, 1, 0), (1, 1, 0), (1, 1, 0), (1, 1, 0)],
+    ("reverse-sorted", "bubble", 50): [
+        (1225, 1225, 0), (1225, 1225, 0), (1225, 1225, 0), (1225, 1225, 0), (1225, 1225, 0),
+    ],
+    ("reverse-sorted", "bubble", 300): [
+        (44850, 44850, 0), (44850, 44850, 0), (44850, 44850, 0), (44850, 44850, 0), (44850, 44850, 0),
     ],
 }
 

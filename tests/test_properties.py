@@ -26,6 +26,7 @@ from oracles import (
     reference_arc,
     reference_digit_class,
     reference_enhanced_selection,
+    reference_insertion,
     reference_selection,
 )
 
@@ -140,6 +141,21 @@ def test_selection_sorts_accumulate_and_accept_no_metrics(name, values):
     assert metrics == SortMetrics(
         comparisons=7 + expected_cmp, swaps=5 + expected_swaps, writes=3
     )
+
+
+# ties and wide values, plus monotone runs: the guard path and the full shift
+insertion_inputs = st.one_of(tie_lists, wide_lists).flatmap(
+    lambda v: st.sampled_from([v, sorted(v), sorted(v, reverse=True)])
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(values=insertion_inputs)
+def test_insertion_equals_index_loop_reference(values):
+    expected_sorted, expected_cmp, expected_writes = reference_insertion(values)
+    metrics = SortMetrics()
+    assert ALGORITHMS["insertion"](list(values), metrics) == expected_sorted
+    assert metrics == SortMetrics(comparisons=expected_cmp, writes=expected_writes)
 
 
 @settings(deadline=None, max_examples=100)
