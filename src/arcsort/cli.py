@@ -109,34 +109,58 @@ def _read_lines(data: bytes) -> list[int]:
 
 
 def write_text(path: str, text: str) -> None:
-    """Write to ``path`` atomically (temp file + rename), or to stdout for ``-``.
+    """Write ``text`` to ``path`` atomically, or to stdout for ``-``.
 
     Raises :class:`CliError` with exit 2 if the text cannot be written.
     """
-    try:
-        if path == "-":
-            sys.stdout.write(text)
-            sys.stdout.flush()  # a full device fails here, not at exit
-            return
-        import tempfile
+    write_outputs([(path, text)])
 
-        directory = os.path.dirname(os.path.abspath(path))
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".arcsort-")
-        umask = os.umask(0)
-        os.umask(umask)
-        try:
-            os.fchmod(fd, 0o666 & ~umask)  # mkstemp creates the file 0600
+
+def write_outputs(outputs: Sequence[tuple[str, str]]) -> None:
+    """Write each ``(path, text)``, ``-`` meaning stdout, and every file or none.
+
+    Each file's text goes to a temp file beside it, then stdout is written,
+    and only then do the temp files replace their paths, so a failure leaves
+    no file new.  Raises :class:`CliError` with exit 2 naming the path that
+    could not be written.
+    """
+    staged: list[tuple[str, str]] = []  # (path, its temp file)
+    path = "-"
+    try:
+        for path, text in outputs:
+            if path == "-":
+                continue
+            import errno
+            import tempfile
+
+            if os.path.isdir(path):  # refused now, not by os.replace once another file is replaced
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            directory = os.path.dirname(os.path.abspath(path))
+            fd, tmp = tempfile.mkstemp(dir=directory, prefix=".arcsort-")
+            staged.append((path, tmp))
+            umask = os.umask(0)
+            os.umask(umask)
             with os.fdopen(fd, "w", encoding="ascii") as fh:
+                os.fchmod(fd, 0o666 & ~umask)  # mkstemp creates the file 0600
                 fh.write(text)
+        for path, text in outputs:
+            if path == "-":
+                sys.stdout.write(text)
+                sys.stdout.flush()  # a full device fails here, not at exit
+        while staged:
+            path, tmp = staged[0]
             os.replace(tmp, path)
-        except BaseException:
+            del staged[0]
+    except OSError as exc:
+        if path != "-" and exc.errno is not None:
+            exc = OSError(exc.errno, exc.strerror, path)  # name the path, not the temp file
+        raise CliError(EXIT_IO, f"cannot write {path!r}: {exc}") from None
+    finally:
+        for _, tmp in staged:
             try:
                 os.unlink(tmp)
             except OSError:
                 pass
-            raise
-    except OSError as exc:
-        raise CliError(EXIT_IO, f"cannot write {path!r}: {exc}") from None
 
 
 def write_stderr(text: str) -> None:
@@ -204,14 +228,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
             _csv_list(args.algos), sizes, template, trials=args.trials, warmup=args.warmup
         )
         summary = bench.summarize(report)  # refuses an empty report before any output
-        write_text(args.output, bench.report_to_csv(report))
+        outputs = [(args.output, bench.report_to_csv(report))]
     except DatasetError as exc:
         raise CliError(EXIT_BAD_SPEC, str(exc)) from exc
     except bench.BenchmarkError as exc:
         code = EXIT_BAD_ALGO if isinstance(exc, bench.UnknownAlgorithmError) else 1
         raise CliError(code, str(exc)) from exc
     if args.plot:
-        write_text(args.plot, bench.emit_plot_data(summary))
+        outputs.append((args.plot, bench.emit_plot_data(summary)))
+    write_outputs(outputs)  # a failure of either leaves neither file new
     table = "".join(
         f"{row.algorithm:>18s}  n={row.n:<8d} median={row.median_ns / 1e6:10.3f} ms  "
         f"mean={row.mean_ns / 1e6:10.3f} ms  comparisons={row.mean_comparisons:.0f}\n"

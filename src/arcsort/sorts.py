@@ -3,16 +3,18 @@
 All four sorts mutate the sequence they are given and return it, report
 their work through a :class:`~arcsort.metrics.SortMetrics` accumulator,
 and are deterministic: the same input always yields the same output and
-the same counts.  None of them is stable, which is unobservable on plain
-integers.
+the same counts.  Only insertion and bubble sort are stable, which is
+unobservable on plain integers.
 
-Each sort has exactly one definition, the plain-Python loop below.  The
-two selection sorts scan each pass by value, with no per-element
-subscript, and search for the swap slot only when a swap is due; they
-pass through the states of the index loops in ``tests/oracles.py``, so
-their outputs and counts are the same.  Insertion sort ends each pass in
-its index loop's state too, but reports that loop's comparison count, not
-the comparisons it runs: ROADMAP allows that to the baselines only.
+Each sort has exactly one definition, the plain-Python loop below, and
+each ends every pass in the state of its index loop in
+``tests/oracles.py``, so outputs and counts are that loop's.  The two
+selection sorts scan each pass by value, with no per-element subscript,
+and search for the swap slot only when a swap is due; bubble sort is a
+carried-maximum sweep per pass.  These three run every comparison they
+count.  Insertion sort is the only sort whose count is computed rather
+than run: it reports its index loop's comparisons, not the ones its
+binary search makes, which ROADMAP allows to the baselines only.
 
 Every sort first applies the key rule of :func:`check_keys`, once per
 call: a non-int key with ``__index__`` is replaced by its int, and a
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import MutableSequence
+from itertools import islice
 from operator import index, indexOf
 
 from .metrics import SortMetrics
@@ -152,23 +155,32 @@ def insertion_sort(data: MutableSequence[int], metrics: SortMetrics | None = Non
 
 
 def bubble_sort(data: MutableSequence[int], metrics: SortMetrics | None = None) -> MutableSequence[int]:
-    """Adjacent-swap passes, stopping after the first pass with no swap."""
+    """Adjacent-swap passes, stopping after the first pass with no swap.
+
+    Each pass carries the running maximum ``top`` once along
+    ``data[1:limit + 1]``: a smaller value moves one slot left past it and
+    counts a swap, any other is carried on instead, leaving ``top`` one slot
+    left, and ``top`` lands in ``data[limit]``.  Every comparison counted is run,
+    and every pass ends in the state of the index loop in ``tests/oracles.py``.
+    """
     check_keys(data)
     if metrics is None:
         metrics = SortMetrics()
-    n = len(data)
     comparisons = 0
     swaps = 0
-    for i in range(n - 1):
-        swapped = False
-        limit = n - 1 - i
-        for j in range(limit):
-            if data[j] > data[j + 1]:
-                data[j], data[j + 1] = data[j + 1], data[j]
+    for limit in range(len(data) - 1, 0, -1):
+        before = swaps
+        top = data[0]
+        for j, v in enumerate(islice(data, 1, limit + 1)):
+            if top > v:
+                data[j] = v
                 swaps += 1
-                swapped = True
+            else:
+                data[j] = top
+                top = v
+        data[limit] = top
         comparisons += limit
-        if not swapped:
+        if swaps == before:
             break
     metrics.comparisons += comparisons
     metrics.swaps += swaps

@@ -85,6 +85,48 @@ def reference_insertion(values: list[int]) -> tuple[list[int], int, int]:
     return data, comparisons, writes
 
 
+def reference_bubble(
+    values: list[int], passes: list[list[int]] | None = None
+) -> tuple[list[int], int, int]:
+    """Return (sorted copy, comparisons, swaps) of index-loop bubble sort.
+
+    Pass i compares ``a[j] > a[j+1]`` for every j below ``n-1-i``, swapping
+    on a strict `>`, and the sort stops after the first pass with no swap.
+    The array as each pass leaves it is appended to ``passes`` if given.
+    """
+    a = list(values)
+    n = len(a)
+    comparisons = 0
+    swaps = 0
+    for i in range(n - 1):
+        swapped = False
+        for j in range(n - 1 - i):
+            comparisons += 1
+            if a[j] > a[j + 1]:
+                a[j], a[j + 1] = a[j + 1], a[j]
+                swaps += 1
+                swapped = True
+        if passes is not None:
+            passes.append(list(a))
+        if not swapped:
+            break
+    return a, comparisons, swaps
+
+
+def bubble_count_laws(values: list[int]) -> tuple[int, int]:
+    """(comparisons, swaps) of bubble sort from the input alone (Knuth §5.2.2).
+
+    With ``left[j]`` the number of earlier values strictly greater than
+    ``values[j]``, each pass lowers every nonzero ``left[j]`` by one, so
+    swaps are the inversions, ``sum(left)``, and the sort makes
+    ``P = min(n-1, 1 + max(left))`` passes of n-1-i comparisons each.
+    """
+    n = len(values)
+    left = [sum(x > y for x in values[:j]) for j, y in enumerate(values)]
+    passes = min(n - 1, 1 + max(left)) if n >= 2 else 0
+    return sum(n - 1 - i for i in range(passes)), sum(left)
+
+
 def reference_digit_class(x: int) -> int:
     """Digit count of x via decade bounds: d such that 10**(d-1) <= x < 10**d."""
     if x <= 0:

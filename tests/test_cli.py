@@ -253,9 +253,44 @@ UNWRITABLE = [
 
 @pytest.mark.parametrize("argv", UNWRITABLE, ids=["gen", "bench"])
 def test_unwritable_output_exit_2(tmp_path, capsys, argv):
-    target = tmp_path / "missing" / "out.txt"
-    assert main([*argv, str(target)]) == 2
-    assert capsys.readouterr().err.startswith(f"arcsort: error: cannot write {str(target)!r}")
+    target = str(tmp_path / "missing" / "out.txt")
+    assert main([*argv, target]) == 2
+    assert capsys.readouterr().err == (  # names the requested path, not the temp file
+        f"arcsort: error: cannot write {target!r}: "
+        f"[Errno 2] No such file or directory: {target!r}\n"
+    )
+
+
+BENCH_TINY = UNWRITABLE[1][:-1]
+
+
+@pytest.mark.parametrize("failing", ["-o", "--plot"])
+@pytest.mark.parametrize("cause", ["missing-dir", "is-a-dir"])
+def test_bench_failed_output_leaves_neither_file_new(tmp_path, capsys, failing, cause):
+    good = {"-o": tmp_path / "r.csv", "--plot": tmp_path / "p.tsv"}
+    bad = tmp_path / "missing" / "x" if cause == "missing-dir" else tmp_path / "dir"
+    (tmp_path / "dir").mkdir()
+    good["-o"].write_text("old csv\n")  # an existing file keeps its content
+    outputs = {**good, failing: bad}
+    assert main([*BENCH_TINY, "-o", str(outputs["-o"]), "--plot", str(outputs["--plot"])]) == 2
+    assert capsys.readouterr().err.startswith(f"arcsort: error: cannot write {str(bad)!r}: ")
+    assert good["-o"].read_text() == "old csv\n"
+    assert not good["--plot"].exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "r.csv"]  # no temp file left
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+def test_bench_csv_to_full_stdout_leaves_no_plot(tmp_path):
+    plot = tmp_path / "p.tsv"
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "arcsort", *BENCH_TINY, "-o", "-", "--plot", str(plot)],
+            stdout=full,
+            stderr=subprocess.PIPE,
+        )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(b"arcsort: error: cannot write '-'")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unwritable_output_process_prints_no_traceback(tmp_path):

@@ -22,8 +22,10 @@ from arcsort import (
 )
 from arcsort.bench import ALGORITHMS
 from oracles import (
+    bubble_count_laws,
     pair_comparisons,
     reference_arc,
+    reference_bubble,
     reference_digit_class,
     reference_enhanced_selection,
     reference_insertion,
@@ -143,19 +145,60 @@ def test_selection_sorts_accumulate_and_accept_no_metrics(name, values):
     )
 
 
-# ties and wide values, plus monotone runs: the guard path and the full shift
-insertion_inputs = st.one_of(tie_lists, wide_lists).flatmap(
+# ties and wide values, plus monotone runs: one pass or none to do, and every
+# pass a full shift or a swap per comparison
+index_loop_inputs = st.one_of(tie_lists, wide_lists).flatmap(
     lambda v: st.sampled_from([v, sorted(v), sorted(v, reverse=True)])
 )
 
 
 @settings(deadline=None, max_examples=300)
-@given(values=insertion_inputs)
+@given(values=index_loop_inputs)
 def test_insertion_equals_index_loop_reference(values):
     expected_sorted, expected_cmp, expected_writes = reference_insertion(values)
     metrics = SortMetrics()
     assert ALGORITHMS["insertion"](list(values), metrics) == expected_sorted
     assert metrics == SortMetrics(comparisons=expected_cmp, writes=expected_writes)
+
+
+class Snapshots(list):
+    """A list that records a copy of itself after every item assignment."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.states = []
+
+    def __setitem__(self, index, value):
+        super().__setitem__(index, value)
+        self.states.append(list(self))
+
+
+def in_order_among(wanted: list, seen: list) -> bool:
+    """Whether every item of ``wanted`` occurs in ``seen``, in the same order."""
+    rest = iter(seen)
+    return all(any(state == item for state in rest) for item in wanted)
+
+
+@settings(deadline=None, max_examples=300)
+@given(values=index_loop_inputs)
+def test_bubble_equals_index_loop_reference(values):
+    pass_ends = []
+    expected_sorted, expected_cmp, expected_swaps = reference_bubble(values, pass_ends)
+    data = Snapshots(values)
+    metrics = SortMetrics()
+    assert ALGORITHMS["bubble"](data, metrics) is data
+    assert data == expected_sorted
+    assert metrics == SortMetrics(comparisons=expected_cmp, swaps=expected_swaps)
+    assert in_order_among(pass_ends, data.states)
+
+
+@settings(deadline=None, max_examples=200)
+@given(values=st.one_of(index_loop_inputs, dup_lists))
+def test_bubble_counts_follow_the_pass_and_swap_laws(values):
+    expected_cmp, expected_swaps = bubble_count_laws(values)
+    metrics = SortMetrics()
+    bubble_sort(list(values), metrics)
+    assert metrics == SortMetrics(comparisons=expected_cmp, swaps=expected_swaps)
 
 
 @settings(deadline=None, max_examples=100)
