@@ -67,8 +67,6 @@ class SummaryRow:
     mean_ns: float
     min_ns: int
     mean_comparisons: float
-    mean_swaps: float
-    mean_writes: float
 
 
 def derive_seed(base: int, n: int, trial: int) -> int:
@@ -148,7 +146,7 @@ def summarize(report: BenchmarkReport) -> list[SummaryRow]:
     """One row per (algorithm, distribution, n) group, in report order.
 
     Median is the headline statistic (robust to timer noise); mean and
-    min are carried alongside, as are mean operation counts.
+    min are carried alongside, as is the mean comparison count.
     """
     if not report.rows:
         raise BenchmarkError("cannot summarize an empty report")
@@ -167,8 +165,6 @@ def summarize(report: BenchmarkReport) -> list[SummaryRow]:
                 mean_ns=statistics.fmean(elapsed),
                 min_ns=min(elapsed),
                 mean_comparisons=statistics.fmean(r.metrics.comparisons for r in members),
-                mean_swaps=statistics.fmean(r.metrics.swaps for r in members),
-                mean_writes=statistics.fmean(r.metrics.writes for r in members),
             )
         )
     return out

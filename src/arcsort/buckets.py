@@ -18,7 +18,6 @@ from .sorts import (
     bubble_sort,
     check_keys,
     enhanced_selection_sort,
-    enhanced_selection_unchecked,
     insertion_sort,
     selection_sort,
 )
@@ -114,12 +113,13 @@ def arc_sort(data: Sequence[int], metrics: SortMetrics | None = None) -> list[in
     empty buckets are skipped outright), and concatenates in bucket order.
     Metrics accumulate across the per-bucket sorts, so total comparisons
     equal the sum of c(c-1)/2 over bucket occupancies c.  The keys are
-    checked once, by :func:`distribute`.
+    checked once, by :func:`distribute`, so each bucket runs the sort's kernel.
     """
+    metrics = SortMetrics() if metrics is None else metrics
     table = distribute(data)
     for bucket in table.buckets:
         if len(bucket) > 1:
-            enhanced_selection_unchecked(bucket, metrics)
+            enhanced_selection_sort.kernel(bucket, metrics)
     return concatenate(table)
 
 

@@ -18,6 +18,7 @@ harness when they run.
 
 from __future__ import annotations
 
+import errno
 import os
 import sys
 from collections.abc import Sequence
@@ -63,14 +64,16 @@ def read_integers(path: str) -> list[int]:
     offending line number (overflow must error, not clamp: silent
     saturation would corrupt benchmark datasets).
     """
-    if path == "-":
-        data = sys.stdin.buffer.read()
-    else:
-        try:
+    try:
+        if path == "-":
+            if sys.stdin is None:  # fd 0 was closed when Python started
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+            data = sys.stdin.buffer.read()
+        else:
             with open(path, "rb") as fh:
                 data = fh.read()
-        except OSError as exc:
-            raise CliError(EXIT_IO, f"cannot read {path!r}: {exc}") from exc
+    except OSError as exc:
+        raise CliError(EXIT_IO, f"cannot read {path!r}: {exc}") from exc
     # One pass for well-formed input: int() of bytes reads ASCII digits
     # only and skips the whitespace bytes.strip() would remove.
     if b"_" not in data:
@@ -130,7 +133,6 @@ def write_outputs(outputs: Sequence[tuple[str, str]]) -> None:
         for path, text in outputs:
             if path == "-":
                 continue
-            import errno
             import tempfile
 
             if os.path.isdir(path):  # refused now, not by os.replace once another file is replaced
@@ -145,6 +147,8 @@ def write_outputs(outputs: Sequence[tuple[str, str]]) -> None:
                 fh.write(text)
         for path, text in outputs:
             if path == "-":
+                if sys.stdout is None:  # fd 1 was closed when Python started
+                    raise OSError(errno.EBADF, os.strerror(errno.EBADF))
                 sys.stdout.write(text)
                 sys.stdout.flush()  # a full device fails here, not at exit
         while staged:
@@ -236,16 +240,16 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise CliError(code, str(exc)) from exc
     if args.plot:
         outputs.append((args.plot, bench.emit_plot_data(summary)))
-    write_outputs(outputs)  # a failure of either leaves neither file new
     table = "".join(
         f"{row.algorithm:>18s}  n={row.n:<8d} median={row.median_ns / 1e6:10.3f} ms  "
         f"mean={row.mean_ns / 1e6:10.3f} ms  comparisons={row.mean_comparisons:.0f}\n"
         for row in summary
     )
     if "-" in (args.output, args.plot):
+        write_outputs(outputs)  # a failure of either leaves neither file new
         write_stderr(table)  # stdout holds the CSV or the plot data
     else:
-        write_text("-", table)
+        write_outputs([*outputs, ("-", table)])  # nor does a failure of stdout
     return EXIT_OK
 
 

@@ -19,14 +19,15 @@ binary search makes, which ROADMAP allows to the baselines only.
 Every sort first applies the key rule of :func:`check_keys`, once per
 call: a non-int key with ``__index__`` is replaced by its int, and a
 ``bool``, any other key or a key outside int64 raises before the first
-pass, naming the first such key in input order.  The rule lives only
-there; :func:`~arcsort.buckets.distribute` calls it too.
+pass, naming the first such key in input order.  Only :func:`_public`,
+which makes each in-place sort from its kernel, kept as ``.kernel``, and
+:func:`~arcsort.buckets.distribute`, for ``arc_sort``, call it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import MutableSequence
+from collections.abc import Callable, MutableSequence
 from itertools import islice
 from operator import index, indexOf
 
@@ -52,7 +53,24 @@ def check_keys(data: MutableSequence) -> None:
             raise OverflowError(f"{x} is outside the signed 64-bit range")
 
 
-def enhanced_selection_sort(data: MutableSequence[int], metrics: SortMetrics | None = None) -> MutableSequence[int]:
+def _public(kernel: Callable[[MutableSequence[int], SortMetrics], None]):
+    """The public sort of ``kernel``: check the keys, default the metrics, return the data."""
+
+    def sort(data: MutableSequence[int], metrics: SortMetrics | None = None) -> MutableSequence[int]:
+        check_keys(data)
+        kernel(data, SortMetrics() if metrics is None else metrics)
+        return data
+
+    # not functools.wraps: its __wrapped__ would make signature() show the kernel's
+    sort.__name__ = kernel.__name__
+    sort.__qualname__ = kernel.__qualname__
+    sort.__doc__ = kernel.__doc__
+    sort.kernel = kernel
+    return sort
+
+
+@_public
+def enhanced_selection_sort(data: MutableSequence[int], metrics: SortMetrics) -> None:
     """Sort ascending by repeatedly swapping the maximum to the end.
 
     Each pass pops the last value of the unsorted part as the candidate
@@ -64,14 +82,6 @@ def enhanced_selection_sort(data: MutableSequence[int], metrics: SortMetrics | N
     duplicates the `>=` rule can swap a pair of equal values, which is
     kept so swap counts stay reproducible.
     """
-    check_keys(data)
-    return enhanced_selection_unchecked(data, metrics)
-
-
-def enhanced_selection_unchecked(data: MutableSequence[int], metrics: SortMetrics | None = None) -> MutableSequence[int]:
-    """:func:`enhanced_selection_sort` on keys that have passed the key rule."""
-    if metrics is None:
-        metrics = SortMetrics()
     swaps = 0
     w = list(data)
     for last in range(len(w) - 1, 0, -1):
@@ -90,10 +100,10 @@ def enhanced_selection_unchecked(data: MutableSequence[int], metrics: SortMetric
         data[0] = w[0]
     metrics.comparisons += len(data) * (len(data) - 1) // 2
     metrics.swaps += swaps
-    return data
 
 
-def selection_sort(data: MutableSequence[int], metrics: SortMetrics | None = None) -> MutableSequence[int]:
+@_public
+def selection_sort(data: MutableSequence[int], metrics: SortMetrics) -> None:
     """Classic minimum-selection sort: one swap per pass, no early exit.
 
     The unsorted part is kept reversed, so pass i pops ``data[i]`` from
@@ -103,9 +113,6 @@ def selection_sort(data: MutableSequence[int], metrics: SortMetrics | None = Non
     ``data``, the slot an index scan picks, so every count is the index
     loop's.  Exactly n(n-1)/2 comparisons and at most n-1 swaps.
     """
-    check_keys(data)
-    if metrics is None:
-        metrics = SortMetrics()
     swaps = 0
     w = list(reversed(data))
     for i in range(len(w) - 1):
@@ -124,19 +131,16 @@ def selection_sort(data: MutableSequence[int], metrics: SortMetrics | None = Non
         data[-1] = w[0]
     metrics.comparisons += len(data) * (len(data) - 1) // 2
     metrics.swaps += swaps
-    return data
 
 
-def insertion_sort(data: MutableSequence[int], metrics: SortMetrics | None = None) -> MutableSequence[int]:
+@_public
+def insertion_sort(data: MutableSequence[int], metrics: SortMetrics) -> None:
     """Insertion sort: a key no smaller than its left neighbour costs one
     comparison; any other goes to the slot ``bisect_right`` finds, where the
     shift loop in ``tests/oracles.py`` stops, and its block moves in one step.
     Every pass ends in that loop's state, and the counts are that loop's:
     shift stores and ``data[j] > key`` tests, not the comparisons run here.
     """
-    check_keys(data)
-    if metrics is None:
-        metrics = SortMetrics()
     comparisons = 0
     writes = 0
     for i in range(1, len(data)):
@@ -151,10 +155,10 @@ def insertion_sort(data: MutableSequence[int], metrics: SortMetrics | None = Non
         comparisons += i - pos + (pos > 0)  # plus the test that stopped the scan, if one did
     metrics.comparisons += comparisons
     metrics.writes += writes
-    return data
 
 
-def bubble_sort(data: MutableSequence[int], metrics: SortMetrics | None = None) -> MutableSequence[int]:
+@_public
+def bubble_sort(data: MutableSequence[int], metrics: SortMetrics) -> None:
     """Adjacent-swap passes, stopping after the first pass with no swap.
 
     Each pass carries the running maximum ``top`` once along
@@ -163,9 +167,6 @@ def bubble_sort(data: MutableSequence[int], metrics: SortMetrics | None = None) 
     left, and ``top`` lands in ``data[limit]``.  Every comparison counted is run,
     and every pass ends in the state of the index loop in ``tests/oracles.py``.
     """
-    check_keys(data)
-    if metrics is None:
-        metrics = SortMetrics()
     comparisons = 0
     swaps = 0
     for limit in range(len(data) - 1, 0, -1):
@@ -184,4 +185,3 @@ def bubble_sort(data: MutableSequence[int], metrics: SortMetrics | None = None) 
             break
     metrics.comparisons += comparisons
     metrics.swaps += swaps
-    return data

@@ -193,8 +193,9 @@ def test_arc_sort_checks_keys_once(monkeypatch):
 
     monkeypatch.setattr(sorts, "check_keys", checked_twice)
     assert arc_sort(GOLDEN_INPUT) == GOLDEN_OUTPUT
-    with pytest.raises(AssertionError):
-        sorts.enhanced_selection_sort([2, 1])  # the patch does reach the public sort
+    for sort in IN_PLACE.values():  # the patch does reach each public sort
+        with pytest.raises(AssertionError):
+            sort([2, 1])
 
 
 IN_PLACE = {

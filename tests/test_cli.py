@@ -321,6 +321,37 @@ def test_stdout_to_full_device_exit_2(tmp_path, command):
     assert proc.stderr.startswith(b"arcsort: error: cannot write '-'")
     assert b"Traceback" not in proc.stderr
     assert b"Exception ignored" not in proc.stderr
+    assert list(tmp_path.iterdir()) == []  # bench's CSV is not left behind
+
+
+CLOSED_STREAM = [
+    (["sort", "--algo", "arc", "-"], "<&-", b"cannot read '-'"),
+    (["sort", "--algo", "arc", "in.txt"], ">&-", b"cannot write '-'"),
+    (["gen", "--dist", "uniform", "--n", "3", "--seed", "1", "-o", "-"], ">&-", b"cannot write '-'"),
+    ([*BENCH_TINY, "-o", "-", "--plot", "p.tsv"], ">&-", b"cannot write '-'"),
+    ([*BENCH_TINY, "-o", "r.csv", "--plot", "p.tsv"], ">&-", b"cannot write '-'"),  # the summary
+]
+
+
+@pytest.mark.parametrize(
+    "argv, redirect, message",
+    CLOSED_STREAM,
+    ids=["sort-stdin", "sort-stdout", "gen-stdout", "bench-csv-stdout", "bench-summary-stdout"],
+)
+def test_closed_standard_stream_exit_2(tmp_path, argv, redirect, message):
+    (tmp_path / "in.txt").write_text(GOLDEN)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run(  # the shell closes the descriptor before Python starts
+        ["sh", "-c", f'exec "$@" {redirect}', "sh", sys.executable, "-m", "arcsort", *argv],
+        stdout=subprocess.PIPE if redirect == "<&-" else None,
+        stderr=subprocess.PIPE,
+        cwd=tmp_path,
+        env=env,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == b"arcsort: error: " + message + b": [Errno 9] Bad file descriptor\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["in.txt"]  # no bench or gen file new
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")

@@ -50,8 +50,8 @@ def sort_copy(fn, values, metrics=None):
     return (data if out is None else out), data
 
 
-# The name predates the single definition; it is kept so the ids of this
-# grid stay the same from one commit to the next.
+# Each in-place entry point wraps the pure-Python body it holds as ``.kernel``:
+# the wrapper checks the keys, defaults the metrics and returns the data.
 @pytest.mark.parametrize("fn", ENTRY_POINTS, ids=IDS)
 @pytest.mark.parametrize("values", INPUTS, ids=lambda v: f"n{len(v)}")
 def test_wrapper_equals_pure_path(fn, values):

@@ -8,6 +8,7 @@ baseline variants) before being frozen here.
 from __future__ import annotations
 
 import enum
+import inspect
 import re
 from fractions import Fraction
 
@@ -146,6 +147,32 @@ def test_metrics_argument_is_optional(sort):
     data = [5, -3, 5, 0]
     sort(data)
     assert data == [-3, 0, 5, 5]
+
+
+# The first docstring line of each public sort: the public sort shows its
+# kernel's docstring as written.
+DOC_FIRST_LINES = {
+    "enhanced_selection_sort": "Sort ascending by repeatedly swapping the maximum to the end.",
+    "selection_sort": "Classic minimum-selection sort: one swap per pass, no early exit.",
+    "insertion_sort": "Insertion sort: a key no smaller than its left neighbour costs one",
+    "bubble_sort": "Adjacent-swap passes, stopping after the first pass with no swap.",
+}
+
+
+@pytest.mark.parametrize("sort", ALL_SORTS)
+def test_public_sort_keeps_its_surface(sort):
+    # help() and signature() must show the public call, not the kernel's
+    assert str(inspect.signature(sort)) == (
+        "(data: 'MutableSequence[int]', metrics: 'SortMetrics | None' = None)"
+        " -> 'MutableSequence[int]'"
+    )
+    assert str(inspect.signature(sort.kernel)) == (
+        "(data: 'MutableSequence[int]', metrics: 'SortMetrics') -> 'None'"
+    )
+    assert sort.__qualname__ == sort.__name__ == sort.kernel.__name__
+    assert sort.__module__ == "arcsort.sorts"
+    assert sort.__doc__ == sort.kernel.__doc__
+    assert sort.__doc__.splitlines()[0] == DOC_FIRST_LINES[sort.__name__]
 
 
 @pytest.mark.parametrize("sort", ALL_SORTS)
