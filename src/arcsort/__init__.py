@@ -59,30 +59,17 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALGORITHMS",
-    "CSV_HEADER",
-    "BenchmarkError",
-    "BenchmarkReport",
     "BucketTable",
     "DISTRIBUTIONS",
-    "DatasetError",
-    "DatasetSpec",
     "MAX_DIGITS",
-    "ReportMeta",
     "SortMetrics",
-    "SummaryRow",
-    "TrialResult",
     "arc_sort",
     "bubble_sort",
     "concatenate",
     "count_digits",
     "distribute",
-    "emit_plot_data",
     "enhanced_selection_sort",
-    "generate",
     "insertion_sort",
-    "report_from_csv",
-    "report_to_csv",
-    "run_benchmark",
     "selection_sort",
-    "summarize",
+    *_LAZY,
 ]

@@ -2,13 +2,14 @@
 
 Exit codes: 0 success, 1 bad ``--trials``/``--warmup`` or a benchmark
 run that failed verification, 2 unreadable input, unwritable output (a
-file, stdout or stderr) or both ``bench`` outputs on stdout, 3
-unparseable, non-ASCII or out-of-range integer (the diagnostic names the
-line), 4 invalid dataset spec, 5 unknown benchmark algorithm; an
-unwritable stderr loses the message but not the code.  Output files are
-written atomically and stdout is only written after the whole input has
-parsed, so error paths never leave partial output behind; ``bench``
-prints its summary on stderr when ``-o -`` or ``--plot -`` takes stdout.
+file, stdout or stderr) or both ``bench`` outputs on one destination,
+3 unparseable, non-ASCII or out-of-range integer (the diagnostic names
+the line), 4 invalid dataset spec, 5 unknown benchmark algorithm; an
+unwritable stderr loses the message but not the code.  Commands return
+their outputs and :func:`main` writes them once the whole input has
+parsed: stdout and stderr first, then each file atomically, so error
+paths never leave partial output or a new file behind; ``bench`` prints
+its summary on stderr when ``-o -`` or ``--plot -`` takes stdout.
 
 ``sort`` loads only the sorts and parses a plain command line without
 argparse, which loads only for other commands, help and usage errors;
@@ -42,6 +43,8 @@ EXIT_IO = 2
 EXIT_BAD_INT = 3
 EXIT_BAD_SPEC = 4
 EXIT_BAD_ALGO = 5
+
+STDERR = object()  # the stderr destination; not a str, so no path equals it
 
 DEFAULT_SIZES = "1000,5000,10000,20000"
 
@@ -114,24 +117,25 @@ def _read_lines(data: bytes) -> list[int]:
 def write_text(path: str, text: str) -> None:
     """Write ``text`` to ``path`` atomically, or to stdout for ``-``.
 
-    Raises :class:`CliError` with exit 2 if the text cannot be written.
+    No command calls it; it stays because ``perfbench/workloads.py`` times it.
     """
     write_outputs([(path, text)])
 
 
-def write_outputs(outputs: Sequence[tuple[str, str]]) -> None:
-    """Write each ``(path, text)``, ``-`` meaning stdout, and every file or none.
+def write_outputs(outputs: Sequence[tuple[object, str]]) -> None:
+    """Write each ``(destination, text)``, and every file or none.
 
-    Each file's text goes to a temp file beside it, then stdout is written,
-    and only then do the temp files replace their paths, so a failure leaves
-    no file new.  Raises :class:`CliError` with exit 2 naming the path that
-    could not be written.
+    A destination is a path, ``-`` for stdout or :data:`STDERR`.  Each
+    file's text goes to a temp file beside it, then the streams are written
+    in list order, and only then do the temp files replace their paths, so
+    a failure leaves no file new.  Raises :class:`CliError` with exit 2
+    naming the destination that could not be written.
     """
     staged: list[tuple[str, str]] = []  # (path, its temp file)
-    path = "-"
+    path: object = "-"
     try:
         for path, text in outputs:
-            if path == "-":
+            if path in ("-", STDERR):
                 continue
             import tempfile
 
@@ -146,19 +150,21 @@ def write_outputs(outputs: Sequence[tuple[str, str]]) -> None:
                 os.fchmod(fd, 0o666 & ~umask)  # mkstemp creates the file 0600
                 fh.write(text)
         for path, text in outputs:
-            if path == "-":
-                if sys.stdout is None:  # fd 1 was closed when Python started
+            if path in ("-", STDERR):
+                stream = sys.stdout if path == "-" else sys.stderr
+                if stream is None:  # its fd was closed when Python started
                     raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-                sys.stdout.write(text)
-                sys.stdout.flush()  # a full device fails here, not at exit
+                stream.write(text)
+                stream.flush()  # a full device fails here, not at exit
         while staged:
             path, tmp = staged[0]
             os.replace(tmp, path)
             del staged[0]
     except OSError as exc:
-        if path != "-" and exc.errno is not None:
+        if path not in ("-", STDERR) and exc.errno is not None:
             exc = OSError(exc.errno, exc.strerror, path)  # name the path, not the temp file
-        raise CliError(EXIT_IO, f"cannot write {path!r}: {exc}") from None
+        where = "to stderr" if path is STDERR else repr(path)
+        raise CliError(EXIT_IO, f"cannot write {where}: {exc}") from None
     finally:
         for _, tmp in staged:
             try:
@@ -167,31 +173,22 @@ def write_outputs(outputs: Sequence[tuple[str, str]]) -> None:
                 pass
 
 
-def write_stderr(text: str) -> None:
-    """Write ``text`` to stderr now; raises :class:`CliError` with exit 2 if it cannot."""
-    try:
-        print(text, end="", file=sys.stderr, flush=True)
-    except OSError as exc:
-        raise CliError(EXIT_IO, f"cannot write to stderr: {exc}") from None
-
-
 def _csv_list(text: str) -> list[str]:
     return [item.strip() for item in text.split(",") if item.strip()]
 
 
-def cmd_sort(args: argparse.Namespace) -> int:
+def cmd_sort(args: argparse.Namespace) -> list[tuple[object, str]]:
     values = read_integers(args.input)
     metrics = SortMetrics()
     result = ALGORITHMS[args.algo](values, metrics)
-    write_text("-", "".join(f"{v}\n" for v in result))
+    outputs: list[tuple[object, str]] = [("-", "".join(f"{v}\n" for v in result))]
     if args.metrics:
-        write_stderr(
-            f"comparisons={metrics.comparisons} swaps={metrics.swaps} writes={metrics.writes}\n"
-        )
-    return EXIT_OK
+        line = f"comparisons={metrics.comparisons} swaps={metrics.swaps} writes={metrics.writes}\n"
+        outputs.append((STDERR, line))
+    return outputs
 
 
-def cmd_gen(args: argparse.Namespace) -> int:
+def cmd_gen(args: argparse.Namespace) -> list[tuple[object, str]]:
     from .datagen import DatasetError, DatasetSpec, generate
 
     spec = DatasetSpec(
@@ -206,16 +203,18 @@ def cmd_gen(args: argparse.Namespace) -> int:
         values = generate(spec)
     except DatasetError as exc:
         raise CliError(EXIT_BAD_SPEC, str(exc)) from exc
-    write_text(args.output, "".join(f"{v}\n" for v in values))
-    return EXIT_OK
+    return [(args.output, "".join(f"{v}\n" for v in values))]
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
+def cmd_bench(args: argparse.Namespace) -> list[tuple[object, str]]:
     from . import bench
     from .datagen import DatasetError, DatasetSpec
 
-    if args.output == args.plot == "-":
-        raise CliError(EXIT_IO, "-o and --plot cannot both be stdout")
+    if args.plot:  # one destination for both would keep only the text written last
+        output, plot = (p if p == "-" else os.path.realpath(p) for p in (args.output, args.plot))
+        if output == plot:
+            where = "stdout" if plot == "-" else repr(args.plot)
+            raise CliError(EXIT_IO, f"-o and --plot cannot both be {where}")
     try:
         sizes = [int(s) for s in _csv_list(args.sizes)]
     except ValueError as exc:
@@ -232,7 +231,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             _csv_list(args.algos), sizes, template, trials=args.trials, warmup=args.warmup
         )
         summary = bench.summarize(report)  # refuses an empty report before any output
-        outputs = [(args.output, bench.report_to_csv(report))]
+        outputs: list[tuple[object, str]] = [(args.output, bench.report_to_csv(report))]
     except DatasetError as exc:
         raise CliError(EXIT_BAD_SPEC, str(exc)) from exc
     except bench.BenchmarkError as exc:
@@ -245,12 +244,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
         f"mean={row.mean_ns / 1e6:10.3f} ms  comparisons={row.mean_comparisons:.0f}\n"
         for row in summary
     )
-    if "-" in (args.output, args.plot):
-        write_outputs(outputs)  # a failure of either leaves neither file new
-        write_stderr(table)  # stdout holds the CSV or the plot data
-    else:
-        write_outputs([*outputs, ("-", table)])  # nor does a failure of stdout
-    return EXIT_OK
+    # The summary goes to stderr when stdout holds the CSV or the plot data.
+    outputs.append((STDERR if "-" in (args.output, args.plot) else "-", table))
+    return outputs
 
 
 def _sort_args(argv: Sequence[str]) -> SimpleNamespace | None:
@@ -324,13 +320,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _sort_args(sys.argv[1:] if argv is None else argv) or build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        write_outputs(args.func(args))
     except CliError as exc:
         try:
             print(f"arcsort: error: {exc}", file=sys.stderr, flush=True)
         except OSError:
             pass  # stderr is unwritable; the exit code still reports the error
         return exc.code
+    return EXIT_OK
 
 
 if __name__ == "__main__":

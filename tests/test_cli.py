@@ -280,16 +280,18 @@ def test_bench_failed_output_leaves_neither_file_new(tmp_path, capsys, failing, 
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
-def test_bench_csv_to_full_stdout_leaves_no_plot(tmp_path):
-    plot = tmp_path / "p.tsv"
+@pytest.mark.parametrize("full_stream", ["stdout", "stderr"])
+def test_bench_csv_to_full_stdout_leaves_no_plot(tmp_path, full_stream):
+    plot = tmp_path / "p.tsv"  # the CSV goes to stdout, so the summary goes to stderr
     with open("/dev/full", "wb") as full:
         proc = subprocess.run(
             [sys.executable, "-m", "arcsort", *BENCH_TINY, "-o", "-", "--plot", str(plot)],
-            stdout=full,
-            stderr=subprocess.PIPE,
+            stdout=full if full_stream == "stdout" else subprocess.PIPE,
+            stderr=full if full_stream == "stderr" else subprocess.PIPE,
         )
     assert proc.returncode == 2
-    assert proc.stderr.startswith(b"arcsort: error: cannot write '-'")
+    if full_stream == "stdout":
+        assert proc.stderr.startswith(b"arcsort: error: cannot write '-'")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -460,12 +462,21 @@ def test_bench_plot_on_stdout_is_only_the_plot(tmp_path, capsys):
     assert "median" in captured.err
 
 
-def test_bench_refuses_csv_and_plot_both_on_stdout(capsys):
+@pytest.mark.parametrize(
+    "output, plot, where",
+    [("-", "-", "stdout"), ("r.csv", "./r.csv", "'./r.csv'")],
+    ids=["stdout", "file"],
+)
+def test_bench_refuses_csv_and_plot_both_on_stdout(
+    tmp_path, monkeypatch, capsys, output, plot, where
+):
+    monkeypatch.chdir(tmp_path)
     argv = ["bench", "--algos", "arc", "--sizes", "4", "--trials", "1", "--warmup", "0"]
-    assert main([*argv, "-o", "-", "--plot", "-"]) == 2
+    assert main([*argv, "-o", output, "--plot", plot]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "arcsort: error: -o and --plot cannot both be stdout\n"
+    assert captured.err == f"arcsort: error: -o and --plot cannot both be {where}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
