@@ -1,4 +1,4 @@
-"""Command-line front end: ``sort``, ``gen``, and ``bench`` subcommands.
+"""Command-line entry point and the ``sort`` command.
 
 Exit codes: 0 success, 1 bad ``--trials``/``--warmup`` or a benchmark
 run that failed verification, 2 unreadable input, unwritable output (a
@@ -11,10 +11,10 @@ parsed: stdout and stderr first, then each file atomically, so error
 paths never leave partial output or a new file behind; ``bench`` prints
 its summary on stderr when ``-o -`` or ``--plot -`` takes stdout.
 
-``sort`` loads only the sorts and parses a plain command line without
-argparse, which loads only for other commands, help and usage errors;
-``gen`` and ``bench`` import the dataset generators and the timing
-harness when they run.
+A plain ``sort`` command line is parsed here without argparse and loads
+only the sorts.  Any other line goes to :mod:`arcsort.commands`, the
+argparse front end with ``gen`` and ``bench``, which imports the dataset
+generators and the timing harness when they run.
 """
 
 from __future__ import annotations
@@ -25,12 +25,7 @@ import sys
 from collections.abc import Sequence
 from types import SimpleNamespace
 
-from .buckets import (
-    ALGORITHMS,
-    DEFAULT_VALUE_HI,
-    DEFAULT_VALUE_LO,
-    DISTRIBUTIONS,
-)
+from .buckets import ALGORITHMS
 from .metrics import SortMetrics
 from .sorts import INT64_MAX, INT64_MIN
 
@@ -45,8 +40,6 @@ EXIT_BAD_SPEC = 4
 EXIT_BAD_ALGO = 5
 
 STDERR = object()  # the stderr destination; not a str, so no path equals it
-
-DEFAULT_SIZES = "1000,5000,10000,20000"
 
 
 class CliError(Exception):
@@ -81,7 +74,7 @@ def read_integers(path: str) -> list[int]:
     # only and skips the whitespace bytes.strip() would remove.
     if b"_" not in data:
         try:
-            values = [int(token) for token in data.splitlines() if token]
+            values = list(map(int, filter(None, data.splitlines())))
         except ValueError:
             pass
         else:
@@ -97,19 +90,15 @@ def _read_lines(data: bytes) -> list[int]:
         token = token.strip()
         if not token:
             continue
-        try:
-            if b"_" in token:
-                raise ValueError
-            value = int(token)
-        except ValueError:
+        sign = token[:1] if token[:1] in (b"+", b"-") else b""
+        if not token[len(sign):].isdigit():  # ASCII digits only, so no "_" either
             shown = token.decode("ascii", errors="backslashreplace")
-            raise CliError(
-                EXIT_BAD_INT, f"line {lineno}: {shown!r} is not an integer"
-            ) from None
+            raise CliError(EXIT_BAD_INT, f"line {lineno}: {shown!r} is not an integer")
+        digits = token[len(sign):].lstrip(b"0") or b"0"  # int() counts zeros to its digit limit
+        value = int(sign + digits[:20])  # no int64 has 20 digits
         if not INT64_MIN <= value <= INT64_MAX:
-            raise CliError(
-                EXIT_BAD_INT, f"line {lineno}: {value} is outside the 64-bit range"
-            )
+            shown = value if len(digits) < 20 else f"a {len(digits)}-digit value"  # may be long
+            raise CliError(EXIT_BAD_INT, f"line {lineno}: {shown} is outside the 64-bit range")
         values.append(value)
     return values
 
@@ -139,7 +128,10 @@ def write_outputs(outputs: Sequence[tuple[object, str]]) -> None:
                 continue
             import tempfile
 
-            if os.path.isdir(path):  # refused now, not by os.replace once another file is replaced
+            # refused now, not by os.replace once another file is replaced
+            if not path:
+                raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT))
+            if os.path.isdir(path):
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
             directory = os.path.dirname(os.path.abspath(path))
             fd, tmp = tempfile.mkstemp(dir=directory, prefix=".arcsort-")
@@ -173,79 +165,19 @@ def write_outputs(outputs: Sequence[tuple[object, str]]) -> None:
                 pass
 
 
-def _csv_list(text: str) -> list[str]:
-    return [item.strip() for item in text.split(",") if item.strip()]
+def format_lines(values: list[int]) -> str:
+    """Each value in decimal on a line of its own, in one C-level format call."""
+    return "%d\n" * len(values) % tuple(values)
 
 
 def cmd_sort(args: argparse.Namespace) -> list[tuple[object, str]]:
     values = read_integers(args.input)
     metrics = SortMetrics()
     result = ALGORITHMS[args.algo](values, metrics)
-    outputs: list[tuple[object, str]] = [("-", "".join(f"{v}\n" for v in result))]
+    outputs: list[tuple[object, str]] = [("-", format_lines(result))]
     if args.metrics:
         line = f"comparisons={metrics.comparisons} swaps={metrics.swaps} writes={metrics.writes}\n"
         outputs.append((STDERR, line))
-    return outputs
-
-
-def cmd_gen(args: argparse.Namespace) -> list[tuple[object, str]]:
-    from .datagen import DatasetError, DatasetSpec, generate
-
-    spec = DatasetSpec(
-        distribution=args.dist,
-        n=args.n,
-        seed=args.seed,
-        value_lo=args.min,
-        value_hi=args.max,
-        digit_class=args.digit_class,
-    )
-    try:
-        values = generate(spec)
-    except DatasetError as exc:
-        raise CliError(EXIT_BAD_SPEC, str(exc)) from exc
-    return [(args.output, "".join(f"{v}\n" for v in values))]
-
-
-def cmd_bench(args: argparse.Namespace) -> list[tuple[object, str]]:
-    from . import bench
-    from .datagen import DatasetError, DatasetSpec
-
-    if args.plot:  # one destination for both would keep only the text written last
-        output, plot = (p if p == "-" else os.path.realpath(p) for p in (args.output, args.plot))
-        if output == plot:
-            where = "stdout" if plot == "-" else repr(args.plot)
-            raise CliError(EXIT_IO, f"-o and --plot cannot both be {where}")
-    try:
-        sizes = [int(s) for s in _csv_list(args.sizes)]
-    except ValueError as exc:
-        raise CliError(EXIT_BAD_SPEC, f"bad --sizes value: {exc}") from None
-    template = DatasetSpec(
-        distribution=args.dist,
-        n=0,
-        seed=args.seed,
-        value_lo=args.min,
-        value_hi=args.max,
-    )
-    try:
-        report = bench.run_benchmark(
-            _csv_list(args.algos), sizes, template, trials=args.trials, warmup=args.warmup
-        )
-        summary = bench.summarize(report)  # refuses an empty report before any output
-        outputs: list[tuple[object, str]] = [(args.output, bench.report_to_csv(report))]
-    except DatasetError as exc:
-        raise CliError(EXIT_BAD_SPEC, str(exc)) from exc
-    except bench.BenchmarkError as exc:
-        code = EXIT_BAD_ALGO if isinstance(exc, bench.UnknownAlgorithmError) else 1
-        raise CliError(code, str(exc)) from exc
-    if args.plot:
-        outputs.append((args.plot, bench.emit_plot_data(summary)))
-    table = "".join(
-        f"{row.algorithm:>18s}  n={row.n:<8d} median={row.median_ns / 1e6:10.3f} ms  "
-        f"mean={row.mean_ns / 1e6:10.3f} ms  comparisons={row.mean_comparisons:.0f}\n"
-        for row in summary
-    )
-    # The summary goes to stderr when stdout holds the CSV or the plot data.
-    outputs.append((STDERR if "-" in (args.output, args.plot) else "-", table))
     return outputs
 
 
@@ -273,52 +205,12 @@ def _sort_args(argv: Sequence[str]) -> SimpleNamespace | None:
     return args if args.algo in ALGORITHMS and args.input is not None else None
 
 
-def build_parser() -> argparse.ArgumentParser:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="arcsort",
-        description="Sort integers by digit-count bucketing, generate datasets, run benchmarks.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_sort = sub.add_parser("sort", help="sort newline-separated integers from a file or stdin")
-    p_sort.add_argument("--algo", required=True, choices=sorted(ALGORITHMS))
-    p_sort.add_argument("--metrics", action="store_true", help="print operation counts to stderr")
-    p_sort.add_argument("input", metavar="file", help="input path, or - for stdin")
-    p_sort.set_defaults(func=cmd_sort)
-
-    p_gen = sub.add_parser("gen", help="generate a seeded dataset")
-    p_gen.add_argument("--dist", required=True, help=f"one of: {', '.join(DISTRIBUTIONS)}")
-    p_gen.add_argument("--n", required=True, type=int)
-    p_gen.add_argument("--seed", required=True, type=int)
-    p_gen.add_argument("--min", type=int, default=DEFAULT_VALUE_LO)
-    p_gen.add_argument("--max", type=int, default=DEFAULT_VALUE_HI)
-    p_gen.add_argument("--digit-class", type=int, default=None)
-    p_gen.add_argument("-o", "--output", required=True, help="output path, or - for stdout")
-    p_gen.set_defaults(func=cmd_gen)
-
-    p_bench = sub.add_parser("bench", help="time the sorts over seeded datasets")
-    p_bench.add_argument(
-        "--algos", default=",".join(ALGORITHMS), help="comma-separated (default: %(default)s)"
-    )
-    p_bench.add_argument("--sizes", default=DEFAULT_SIZES)
-    p_bench.add_argument(
-        "--dist", default="uniform", help=f"one of: {', '.join(DISTRIBUTIONS)} (default: %(default)s)"
-    )
-    p_bench.add_argument("--trials", type=int, default=5)
-    p_bench.add_argument("--warmup", type=int, default=2)
-    p_bench.add_argument("--seed", type=int, default=42)
-    p_bench.add_argument("--min", type=int, default=DEFAULT_VALUE_LO)
-    p_bench.add_argument("--max", type=int, default=DEFAULT_VALUE_HI)
-    p_bench.add_argument("-o", "--output", required=True, help="CSV path, or - for stdout")
-    p_bench.add_argument("--plot", default=None, help="also write tab-separated plot data here")
-    p_bench.set_defaults(func=cmd_bench)
-    return parser
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _sort_args(sys.argv[1:] if argv is None else argv) or build_parser().parse_args(argv)
+    args = _sort_args(sys.argv[1:] if argv is None else argv)
+    if args is None:  # anything but a plain sort needs argparse
+        from .commands import build_parser
+
+        args = build_parser().parse_args(argv)
     try:
         write_outputs(args.func(args))
     except CliError as exc:

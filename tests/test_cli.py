@@ -9,15 +9,17 @@ import subprocess
 import sys
 from itertools import chain, product
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import arcsort
-from arcsort import ALGORITHMS
+from arcsort import ALGORITHMS, cli
 from arcsort.bench import report_from_csv, report_to_csv
-from arcsort.cli import _sort_args, build_parser, main
+from arcsort.cli import _sort_args, main
+from arcsort.commands import build_parser
 
 SRC = str(Path(arcsort.__file__).resolve().parent.parent)
 
@@ -169,6 +171,59 @@ def test_sort_accepts_sign_and_leading_zeros(tmp_path, capsys):
     assert capsys.readouterr().out == "-8\n0\n0\n7\n7\n12\n"
 
 
+def test_sort_accepts_leading_zeros_past_the_int_digit_limit(tmp_path, capsys):
+    # int() refuses more than 4,300 digits, leading zeros included
+    path = write(tmp_path, "zeros.txt", "0" * 4400 + "7\n-" + "0" * 5000 + "3\n+" + "0" * 4400 + "\n")
+    assert main(["sort", "--algo", "arc", path]) == 0
+    assert capsys.readouterr().out == "-3\n0\n7\n"
+
+
+def test_sort_out_of_range_after_leading_zeros_names_its_value(tmp_path, capsys):
+    path = write(tmp_path, "big.txt", "1\n" + "0" * 4400 + f"{2**63}\n")
+    assert main(["sort", "--algo", "arc", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"arcsort: error: line 2: {2**63} is outside the 64-bit range\n"
+
+
+@pytest.mark.parametrize("digits", [20, 5000])
+def test_sort_very_long_value_is_out_of_range_and_not_printed(tmp_path, capsys, digits):
+    path = write(tmp_path, "long.txt", "1\n-00" + "9" * digits + "\n")
+    assert main(["sort", "--algo", "arc", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"arcsort: error: line 2: a {digits}-digit value is outside the 64-bit range\n"
+
+
+INT64S = st.integers(-(2**63), 2**63 - 1) | st.sampled_from([-(2**63), 2**63 - 1, 0])
+
+
+@st.composite
+def integer_files(draw):
+    """int64 values, and a file of them with signs, leading zeros, blank lines and LF/CR/CRLF."""
+    values = draw(st.lists(INT64S, max_size=30))
+    text = ""
+    for v in values:
+        sign = "-" if v < 0 else draw(st.sampled_from(["", "+", "-"] if v == 0 else ["", "+"]))
+        zeros = "0" * draw(st.integers(0, 3))
+        blank, end = draw(st.sampled_from(["", "\n", "\r\n\r"])), draw(st.sampled_from(["\n", "\r", "\r\n"]))
+        text += f"{blank}{sign}{zeros}{abs(v)}{end}"
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no end after the last line
+    return values, text.encode()
+
+
+@settings(max_examples=300)
+@given(case=integer_files())
+def test_fast_parse_and_format_agree_with_the_line_parser(case):
+    values, data = case
+    with mock.patch.object(sys, "stdin", fake_stdin(data)):
+        with mock.patch.object(cli, "_read_lines", side_effect=AssertionError("left the fast path")):
+            fast = cli.read_integers("-")
+    assert fast == cli._read_lines(data) == values
+    assert cli.format_lines(values) == "".join(f"{v}\n" for v in values)
+
+
 def test_sort_unreadable_file(tmp_path, capsys):
     assert main(["sort", "--algo", "arc", str(tmp_path / "missing.txt")]) == 2
     assert capsys.readouterr().out == ""
@@ -277,6 +332,24 @@ def test_bench_failed_output_leaves_neither_file_new(tmp_path, capsys, failing, 
     assert good["-o"].read_text() == "old csv\n"
     assert not good["--plot"].exists()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "r.csv"]  # no temp file left
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [*UNWRITABLE[0], ""],
+        [*BENCH_TINY, "-o", "r.csv", "--plot", ""],
+        [*BENCH_TINY, "-o", "", "--plot", "p.tsv"],
+    ],
+    ids=["gen", "bench-plot", "bench-csv"],
+)
+def test_empty_output_path_exit_2_and_leaves_nothing(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # bench printed no summary
+    assert captured.err == "arcsort: error: cannot write '': [Errno 2] No such file or directory: ''\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")

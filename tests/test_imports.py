@@ -17,10 +17,11 @@ SRC = str(Path(arcsort.__file__).resolve().parent.parent)
 DEFINING_MODULES = [metrics, sorts, buckets, datagen, bench]
 
 # Modules the sort path has no use for: bench and datagen with the heavy
-# standard library they pull in, and argparse with what it loads.
+# standard library they pull in, and the argparse front end with what it loads.
 NOT_ON_SORT_PATH = {
     "arcsort.bench",
     "arcsort.datagen",
+    "arcsort.commands",
     "statistics",
     "dataclasses",
     "inspect",
