@@ -10,11 +10,13 @@ Each sort has exactly one definition, the plain-Python loop below, and
 each ends every pass in the state of its index loop in
 ``tests/oracles.py``, so outputs and counts are that loop's.  The two
 selection sorts scan each pass by value, with no per-element subscript,
-and search for the swap slot only when a swap is due; bubble sort is a
-carried-maximum sweep per pass.  These three run every comparison they
-count.  Insertion sort is the only sort whose count is computed rather
-than run: it reports its index loop's comparisons, not the ones its
-binary search makes, which ROADMAP allows to the baselines only.
+and search for the swap slot only when a swap is due; these two run
+every comparison they count.  The two baselines compute their counts
+rather than run them, which ROADMAP allows to them only: insertion sort
+reports its index loop's comparisons, not the ones its binary search
+makes, and bubble sort moves each pass's non-records as one block and
+stores only its records, found once from each key's count of larger keys
+to its left.
 
 Every sort first applies the key rule of :func:`check_keys`, once per
 call: a non-int key with ``__index__`` is replaced by its int, and a
@@ -26,10 +28,10 @@ which makes each in-place sort from its kernel, kept as ``.kernel``, and
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from collections.abc import Callable, MutableSequence
 from itertools import islice
-from operator import index, indexOf
+from operator import index, indexOf, le
 
 from .metrics import SortMetrics
 
@@ -157,31 +159,79 @@ def insertion_sort(data: MutableSequence[int], metrics: SortMetrics) -> None:
     metrics.writes += writes
 
 
+# Up to this many keys, bubble sort sweeps every pass: below about 64 keys,
+# finding the records costs more than it saves (the timings are in CHANGES.md).
+SWEEP_UP_TO = 64
+
+
 @_public
 def bubble_sort(data: MutableSequence[int], metrics: SortMetrics) -> None:
     """Adjacent-swap passes, stopping after the first pass with no swap.
 
-    Each pass carries the running maximum ``top`` once along
-    ``data[1:limit + 1]``: a smaller value moves one slot left past it and
-    counts a swap, any other is carried on instead, leaving ``top`` one slot
-    left, and ``top`` lands in ``data[limit]``.  Every comparison counted is run,
-    and every pass ends in the state of the index loop in ``tests/oracles.py``.
+    A pass carries each left-to-right maximum of ``data[:limit + 1]`` (a
+    *record*) up to the next one and every other key one slot left (Knuth
+    §5.2.2).  Up to ``SWEEP_UP_TO`` keys, a pass carries the running maximum
+    ``top`` once along ``data[1:limit + 1]``: a smaller value moves one slot
+    left past it and counts a swap, and any other is carried on instead,
+    leaving ``top`` one slot left.  A longer sorted input is one C-level
+    check and one store.  Any other longer input finds, once and by binary
+    search, each key's count ``c`` of larger keys to its left: the key is a
+    record from pass ``c + 1`` on.  Each pass is then one block move of
+    ``data[1:limit + 1]`` left, plus a store of each record's key in the slot
+    before the next record.  Record slots are kept as slot plus passes done,
+    where they never move, beside their keys in ascending order.  Either
+    way the last record lands in ``data[limit]``, every pass ends in the
+    state of the index loop in ``tests/oracles.py``, and the counts are that
+    loop's: ``limit`` comparisons a pass and a swap for each key that is not
+    a record.
     """
+    n = len(data)
     comparisons = 0
     swaps = 0
-    for limit in range(len(data) - 1, 0, -1):
-        before = swaps
-        top = data[0]
-        for j, v in enumerate(islice(data, 1, limit + 1)):
-            if top > v:
-                data[j] = v
-                swaps += 1
-            else:
-                data[j] = top
-                top = v
-        data[limit] = top
-        comparisons += limit
-        if swaps == before:
-            break
+    if n <= SWEEP_UP_TO:
+        for limit in range(n - 1, 0, -1):
+            before = swaps
+            top = data[0]
+            for j, v in enumerate(islice(data, 1, limit + 1)):
+                if top > v:
+                    data[j] = v
+                    swaps += 1
+                else:
+                    data[j] = top
+                    top = v
+            data[limit] = top
+            comparisons += limit
+            if swaps == before:
+                break
+    elif all(map(le, data, islice(data, 1, None))):
+        data[n - 1] = data[n - 1]  # the one pass, which ends in a store
+        comparisons = n - 1
+    else:
+        prefix = []
+        arrivals = [[] for _ in range(n)]  # arrivals[c]: the slots of the keys with count c
+        for j, x in enumerate(data):
+            insort(prefix, x)
+            arrivals[j + 1 - bisect_right(prefix, x)].append(j)
+        slots = []
+        keys = []
+        for done, limit in enumerate(range(n - 1, 0, -1)):
+            for j in arrivals[done]:
+                # a key that was no record moved one slot left a pass; records
+                # ascend with their slots, so the two lists still pair up
+                insort(slots, j)
+                insort(keys, data[j - done])
+            records = len(keys)
+            top = keys.pop()
+            del slots[0]  # slot ``done``, now left of data[0]
+            del data[0]
+            data.insert(limit, top)
+            shift = done + 1
+            for s, x in zip(slots, keys):
+                data[s - shift] = x
+            data[limit] = top
+            comparisons += limit
+            swaps += limit + 1 - records
+            if records > limit:
+                break
     metrics.comparisons += comparisons
     metrics.swaps += swaps

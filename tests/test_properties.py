@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import random
 from collections import Counter
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -20,6 +22,7 @@ from arcsort import (
     insertion_sort,
     selection_sort,
 )
+from arcsort import sorts
 from arcsort.bench import ALGORITHMS
 from oracles import (
     bubble_count_laws,
@@ -162,43 +165,83 @@ def test_insertion_equals_index_loop_reference(values):
 
 
 class Snapshots(list):
-    """A list that records a copy of itself after every item assignment."""
+    """A list that, after every item assignment, checks itself against the
+    next state of ``wanted``: ``missed`` ends empty only if every wanted
+    state occurs after some assignment, in order."""
 
-    def __init__(self, values):
+    def __init__(self, values, wanted):
         super().__init__(values)
-        self.states = []
+        self.missed = wanted[::-1]
 
     def __setitem__(self, index, value):
         super().__setitem__(index, value)
-        self.states.append(list(self))
+        if self.missed and self == self.missed[-1]:
+            self.missed.pop()
 
 
-def in_order_among(wanted: list, seen: list) -> bool:
-    """Whether every item of ``wanted`` occurs in ``seen``, in the same order."""
-    rest = iter(seen)
-    return all(any(state == item for state in rest) for item in wanted)
-
-
-@settings(deadline=None, max_examples=300)
-@given(values=index_loop_inputs)
-def test_bubble_equals_index_loop_reference(values):
+def assert_bubble_is_the_index_loop(values) -> SortMetrics:
     pass_ends = []
     expected_sorted, expected_cmp, expected_swaps = reference_bubble(values, pass_ends)
-    data = Snapshots(values)
+    data = Snapshots(values, pass_ends)
     metrics = SortMetrics()
     assert ALGORITHMS["bubble"](data, metrics) is data
     assert data == expected_sorted
     assert metrics == SortMetrics(comparisons=expected_cmp, swaps=expected_swaps)
-    assert in_order_among(pass_ends, data.states)
+    assert data.missed == []
+    return metrics
 
 
+# bubble sort sweeps short inputs and moves records in longer ones; the cutoff
+# as shipped, then 1 key, so that every input hypothesis draws takes both paths
+BUBBLE_CUTOFFS = (sorts.SWEEP_UP_TO, 1)
+
+
+@example(values=[])
+@example(values=[1])
+@example(values=[2, 1])
+@example(values=[1, 1, 0])  # equal records
+@example(values=[2, 1, 3])  # the last pass swaps nothing
+@settings(deadline=None, max_examples=300)
+@given(values=index_loop_inputs)
+def test_bubble_equals_index_loop_reference(values):
+    for sweep_up_to in BUBBLE_CUTOFFS:
+        with patch.object(sorts, "SWEEP_UP_TO", sweep_up_to):
+            assert_bubble_is_the_index_loop(values)
+
+
+@example(values=[])
+@example(values=[1])
+@example(values=[2, 1])
+@example(values=[1, 1, 0])
+@example(values=[2, 1, 3])
 @settings(deadline=None, max_examples=200)
 @given(values=st.one_of(index_loop_inputs, dup_lists))
 def test_bubble_counts_follow_the_pass_and_swap_laws(values):
     expected_cmp, expected_swaps = bubble_count_laws(values)
-    metrics = SortMetrics()
-    bubble_sort(list(values), metrics)
-    assert metrics == SortMetrics(comparisons=expected_cmp, swaps=expected_swaps)
+    for sweep_up_to in BUBBLE_CUTOFFS:
+        metrics = SortMetrics()
+        with patch.object(sorts, "SWEEP_UP_TO", sweep_up_to):
+            bubble_sort(list(values), metrics)
+        assert metrics == SortMetrics(comparisons=expected_cmp, swaps=expected_swaps)
+
+
+def bubble_inputs_at_oracle_mix_sizes():
+    """Criterion 2's two array kinds at its sizes, which hypothesis seldom
+    draws, with both monotone runs and the turtle, whose keys but one are records."""
+    rng = random.Random(16)
+    for n in (200, 512):
+        wide = [rng.randint(-(10**9), 10**9) for _ in range(n)]
+        yield pytest.param(wide, id=f"uniform-{n}")
+        yield pytest.param([rng.randint(-50, 50) for _ in range(n)], id=f"small-range-{n}")
+        yield pytest.param(sorted(wide), id=f"sorted-{n}")
+        yield pytest.param(sorted(wide, reverse=True), id=f"reverse-sorted-{n}")
+        yield pytest.param([*range(1, n), 0], id=f"turtle-{n}")
+
+
+@pytest.mark.parametrize("values", bubble_inputs_at_oracle_mix_sizes())
+def test_bubble_is_the_index_loop_at_oracle_mix_sizes(values):
+    metrics = assert_bubble_is_the_index_loop(values)
+    assert (metrics.comparisons, metrics.swaps) == bubble_count_laws(values)
 
 
 @settings(deadline=None, max_examples=100)
