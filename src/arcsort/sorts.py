@@ -159,51 +159,27 @@ def insertion_sort(data: MutableSequence[int], metrics: SortMetrics) -> None:
     metrics.writes += writes
 
 
-# Up to this many keys, bubble sort sweeps every pass: below about 64 keys,
-# finding the records costs more than it saves (the timings are in CHANGES.md).
-SWEEP_UP_TO = 64
-
-
 @_public
 def bubble_sort(data: MutableSequence[int], metrics: SortMetrics) -> None:
     """Adjacent-swap passes, stopping after the first pass with no swap.
 
     A pass carries each left-to-right maximum of ``data[:limit + 1]`` (a
     *record*) up to the next one and every other key one slot left (Knuth
-    §5.2.2).  Up to ``SWEEP_UP_TO`` keys, a pass carries the running maximum
-    ``top`` once along ``data[1:limit + 1]``: a smaller value moves one slot
-    left past it and counts a swap, and any other is carried on instead,
-    leaving ``top`` one slot left.  A longer sorted input is one C-level
-    check and one store.  Any other longer input finds, once and by binary
-    search, each key's count ``c`` of larger keys to its left: the key is a
-    record from pass ``c + 1`` on.  Each pass is then one block move of
-    ``data[1:limit + 1]`` left, plus a store of each record's key in the slot
-    before the next record.  Record slots are kept as slot plus passes done,
-    where they never move, beside their keys in ascending order.  Either
-    way the last record lands in ``data[limit]``, every pass ends in the
-    state of the index loop in ``tests/oracles.py``, and the counts are that
-    loop's: ``limit`` comparisons a pass and a swap for each key that is not
-    a record.
+    §5.2.2).  A sorted input is one C-level check and one store.  Any other
+    input finds, once and by binary search, each key's count ``c`` of larger
+    keys to its left: the key is a record from pass ``c + 1`` on.  Each pass
+    is then one block move of ``data[1:limit + 1]`` left, plus a store of
+    each record's key in the slot before the next record, and the last
+    record lands in ``data[limit]``.  Record slots are kept as slot plus
+    passes done, where they never move, beside their keys in ascending
+    order.  Every pass ends in the state of the index loop in
+    ``tests/oracles.py``, and the counts are that loop's: ``limit``
+    comparisons a pass and a swap for each key that is not a record.
     """
     n = len(data)
     comparisons = 0
     swaps = 0
-    if n <= SWEEP_UP_TO:
-        for limit in range(n - 1, 0, -1):
-            before = swaps
-            top = data[0]
-            for j, v in enumerate(islice(data, 1, limit + 1)):
-                if top > v:
-                    data[j] = v
-                    swaps += 1
-                else:
-                    data[j] = top
-                    top = v
-            data[limit] = top
-            comparisons += limit
-            if swaps == before:
-                break
-    elif all(map(le, data, islice(data, 1, None))):
+    if n > 1 and all(map(le, data, islice(data, 1, None))):
         data[n - 1] = data[n - 1]  # the one pass, which ends in a store
         comparisons = n - 1
     else:

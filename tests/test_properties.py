@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -22,7 +21,6 @@ from arcsort import (
     insertion_sort,
     selection_sort,
 )
-from arcsort import sorts
 from arcsort.bench import ALGORITHMS
 from oracles import (
     bubble_count_laws,
@@ -191,11 +189,6 @@ def assert_bubble_is_the_index_loop(values) -> SortMetrics:
     return metrics
 
 
-# bubble sort sweeps short inputs and moves records in longer ones; the cutoff
-# as shipped, then 1 key, so that every input hypothesis draws takes both paths
-BUBBLE_CUTOFFS = (sorts.SWEEP_UP_TO, 1)
-
-
 @example(values=[])
 @example(values=[1])
 @example(values=[2, 1])
@@ -204,9 +197,7 @@ BUBBLE_CUTOFFS = (sorts.SWEEP_UP_TO, 1)
 @settings(deadline=None, max_examples=300)
 @given(values=index_loop_inputs)
 def test_bubble_equals_index_loop_reference(values):
-    for sweep_up_to in BUBBLE_CUTOFFS:
-        with patch.object(sorts, "SWEEP_UP_TO", sweep_up_to):
-            assert_bubble_is_the_index_loop(values)
+    assert_bubble_is_the_index_loop(values)
 
 
 @example(values=[])
@@ -218,11 +209,9 @@ def test_bubble_equals_index_loop_reference(values):
 @given(values=st.one_of(index_loop_inputs, dup_lists))
 def test_bubble_counts_follow_the_pass_and_swap_laws(values):
     expected_cmp, expected_swaps = bubble_count_laws(values)
-    for sweep_up_to in BUBBLE_CUTOFFS:
-        metrics = SortMetrics()
-        with patch.object(sorts, "SWEEP_UP_TO", sweep_up_to):
-            bubble_sort(list(values), metrics)
-        assert metrics == SortMetrics(comparisons=expected_cmp, swaps=expected_swaps)
+    metrics = SortMetrics()
+    bubble_sort(list(values), metrics)
+    assert metrics == SortMetrics(comparisons=expected_cmp, swaps=expected_swaps)
 
 
 def bubble_inputs_at_oracle_mix_sizes():
