@@ -65,7 +65,6 @@ class SummaryRow:
     n: int
     median_ns: float
     mean_ns: float
-    min_ns: int
     mean_comparisons: float
 
 
@@ -145,8 +144,8 @@ def run_benchmark(
 def summarize(report: BenchmarkReport) -> list[SummaryRow]:
     """One row per (algorithm, distribution, n) group, in report order.
 
-    Median is the headline statistic (robust to timer noise); mean and
-    min are carried alongside, as is the mean comparison count.
+    Median is the headline statistic (robust to timer noise); the mean
+    is carried alongside, as is the mean comparison count.
     """
     if not report.rows:
         raise BenchmarkError("cannot summarize an empty report")
@@ -163,7 +162,6 @@ def summarize(report: BenchmarkReport) -> list[SummaryRow]:
                 n=n,
                 median_ns=statistics.median(elapsed),
                 mean_ns=statistics.fmean(elapsed),
-                min_ns=min(elapsed),
                 mean_comparisons=statistics.fmean(r.metrics.comparisons for r in members),
             )
         )

@@ -53,8 +53,6 @@ class BucketTable:
     their buckets are; a table is unhashable.
     """
 
-    __match_args__ = ("buckets",)
-
     def __init__(self, buckets: list[list[int]] | None = None) -> None:
         self.buckets = [[]] if buckets is None else buckets
 
@@ -67,17 +65,8 @@ class BucketTable:
         return self.buckets == other.buckets  # type: ignore[attr-defined]
 
     @property
-    def k(self) -> int:
-        """The highest bucket index (0 for empty input)."""
-        return len(self.buckets) - 1
-
-    @property
     def occupancy(self) -> list[int]:
         return [len(b) for b in self.buckets]
-
-    @property
-    def total(self) -> int:
-        return sum(len(b) for b in self.buckets)
 
 
 def distribute(values: Iterable[int]) -> BucketTable:
@@ -91,13 +80,11 @@ def distribute(values: Iterable[int]) -> BucketTable:
     keys = list(values)
     check_keys(keys)
     buckets: list[list[int]] = [[] for _ in range(MAX_DIGITS + 1)]
-    k = 0
     for x in keys:
-        b = count_digits(x)
-        buckets[b].append(x)
-        if b > k:
-            k = b
-    return BucketTable(buckets[: k + 1])
+        buckets[count_digits(x)].append(x)
+    while len(buckets) > 1 and not buckets[-1]:  # bucket 0 stays, even empty
+        buckets.pop()
+    return BucketTable(buckets)
 
 
 def concatenate(table: BucketTable) -> list[int]:

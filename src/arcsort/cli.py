@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 bad ``--trials``/``--warmup`` or a benchmark
 run that failed verification, 2 unreadable input, unwritable output (a
-file, stdout or stderr) or both ``bench`` outputs on one destination,
+file, stdout or stderr), an existing destination that is not a regular
+file or both ``bench`` outputs on one destination,
 3 unparseable, non-ASCII or out-of-range integer (the diagnostic names
 the line), 4 invalid dataset spec, 5 unknown benchmark algorithm; an
 unwritable stderr loses the message but not the code.  Commands return
@@ -114,13 +115,15 @@ def write_text(path: str, text: str) -> None:
 def write_outputs(outputs: Sequence[tuple[object, str]]) -> None:
     """Write each ``(destination, text)``, and every file or none.
 
-    A destination is a path, ``-`` for stdout or :data:`STDERR`.  Each
-    file's text goes to a temp file beside it, then the streams are written
-    in list order, and only then do the temp files replace their paths, so
-    a failure leaves no file new.  Raises :class:`CliError` with exit 2
-    naming the destination that could not be written.
+    A destination is a path, ``-`` for stdout or :data:`STDERR`.  A path
+    is followed through symlinks to the file it names, and each file's text
+    goes to a temp file beside that file; then the streams are written in
+    list order, and only then do the temp files replace their files, so a
+    failure leaves no file new.  Raises :class:`CliError` with exit 2
+    naming the destination as given, also for one that exists but is not
+    a regular file.
     """
-    staged: list[tuple[str, str]] = []  # (path, its temp file)
+    staged: list[tuple[str, str, str]] = []  # (path, the file it names, its temp file)
     path: object = "-"
     try:
         for path, text in outputs:
@@ -131,11 +134,13 @@ def write_outputs(outputs: Sequence[tuple[object, str]]) -> None:
             # refused now, not by os.replace once another file is replaced
             if not path:
                 raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT))
-            if os.path.isdir(path):
+            target = os.path.realpath(path)
+            if os.path.isdir(target):
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-            directory = os.path.dirname(os.path.abspath(path))
-            fd, tmp = tempfile.mkstemp(dir=directory, prefix=".arcsort-")
-            staged.append((path, tmp))
+            if os.path.exists(target) and not os.path.isfile(target):
+                raise OSError("not a regular file")
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".arcsort-")
+            staged.append((path, target, tmp))
             umask = os.umask(0)
             os.umask(umask)
             with os.fdopen(fd, "w", encoding="ascii") as fh:
@@ -149,8 +154,8 @@ def write_outputs(outputs: Sequence[tuple[object, str]]) -> None:
                 stream.write(text)
                 stream.flush()  # a full device fails here, not at exit
         while staged:
-            path, tmp = staged[0]
-            os.replace(tmp, path)
+            path, target, tmp = staged[0]
+            os.replace(tmp, target)
             del staged[0]
     except OSError as exc:
         if path not in ("-", STDERR) and exc.errno is not None:
@@ -158,7 +163,7 @@ def write_outputs(outputs: Sequence[tuple[object, str]]) -> None:
         where = "to stderr" if path is STDERR else repr(path)
         raise CliError(EXIT_IO, f"cannot write {where}: {exc}") from None
     finally:
-        for _, tmp in staged:
+        for *_, tmp in staged:
             try:
                 os.unlink(tmp)
             except OSError:
@@ -220,7 +225,3 @@ def main(argv: Sequence[str] | None = None) -> int:
             pass  # stderr is unwritable; the exit code still reports the error
         return exc.code
     return EXIT_OK
-
-
-if __name__ == "__main__":
-    sys.exit(main())

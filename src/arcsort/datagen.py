@@ -8,6 +8,7 @@ specs reproduce identical sequences bit for bit on any machine.
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
 
 from .buckets import (
@@ -89,6 +90,8 @@ def _validate(spec: DatasetSpec) -> None:
         raise DatasetError(f"with-negatives needs a range straddling zero, got [{lo}, {hi}]")
     if distinct and hi - lo + 1 < spec.n:
         raise DatasetError(f"range [{lo}, {hi}] holds fewer than {spec.n} distinct values")
+    if distinct and hi - lo >= sys.maxsize:  # random.sample needs len() of the range
+        raise DatasetError(f"range [{lo}, {hi}] is too wide to draw distinct values from")
 
 
 def generate(spec: DatasetSpec) -> list[int]:

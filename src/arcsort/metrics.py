@@ -8,12 +8,10 @@ class SortMetrics:
 
     comparisons counts element-to-element order tests, swaps counts
     two-element exchanges, and writes counts single element stores
-    (insertion sort's shifts).  Counters accumulate across calls; use
-    ``reset()`` to start a fresh measurement.  Two instances are equal
-    when all three counts are; like any mutable record, it is unhashable.
+    (insertion sort's shifts).  Counters accumulate across calls; a fresh
+    instance starts a fresh measurement.  Two instances are equal when all
+    three counts are; like any mutable record, it is unhashable.
     """
-
-    __match_args__ = ("comparisons", "swaps", "writes")
 
     def __init__(self, comparisons: int = 0, swaps: int = 0, writes: int = 0) -> None:
         self.comparisons = comparisons
@@ -32,11 +30,3 @@ class SortMetrics:
         return (self.comparisons, self.swaps, self.writes) == (
             other.comparisons, other.swaps, other.writes  # type: ignore[attr-defined]
         )
-
-    def reset(self) -> None:
-        self.comparisons = 0
-        self.swaps = 0
-        self.writes = 0
-
-    def copy(self) -> SortMetrics:
-        return SortMetrics(self.comparisons, self.swaps, self.writes)

@@ -300,6 +300,22 @@ def test_gen_invalid_spec_exit_4(tmp_path, capsys):
     assert not out.exists()  # nothing partial left behind
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--dist", "sorted-ascending", "--n", "5"],
+        ["bench", "--dist", "reverse-sorted", "--algos", "arc", "--sizes", "5", "--trials", "1"],
+    ],
+    ids=["gen", "bench"],
+)
+def test_distinct_draw_over_the_whole_int64_range_exit_4(capsys, argv):
+    lo, hi = -(2**63), 2**63 - 1
+    assert main([*argv, "--seed", "1", "--min", str(lo), "--max", str(hi), "-o", "-"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"arcsort: error: range [{lo}, {hi}] is too wide")
+
+
 UNWRITABLE = [
     ["gen", "--dist", "uniform", "--n", "3", "--seed", "1", "-o"],
     ["bench", "--algos", "arc", "--sizes", "4", "--trials", "1", "--warmup", "0", "-o"],
@@ -332,6 +348,29 @@ def test_bench_failed_output_leaves_neither_file_new(tmp_path, capsys, failing, 
     assert good["-o"].read_text() == "old csv\n"
     assert not good["--plot"].exists()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "r.csv"]  # no temp file left
+
+
+def test_output_through_a_symlink_writes_its_target(tmp_path):
+    real, link = tmp_path / "real.txt", tmp_path / "link.txt"
+    real.write_text("old\n")
+    link.symlink_to(real)
+    assert main([*UNWRITABLE[0], str(link)]) == 0
+    assert link.is_symlink()
+    assert real.read_text() == link.read_text() != "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "real.txt"]
+
+
+@pytest.mark.parametrize("failing", ["-o", "--plot"])
+def test_output_to_a_fifo_is_refused_exit_2(tmp_path, capsys, failing):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    outputs = {"-o": tmp_path / "r.csv", "--plot": tmp_path / "p.tsv", failing: fifo}
+    assert main([*BENCH_TINY, "-o", str(outputs["-o"]), "--plot", str(outputs["--plot"])]) == 2
+    assert capsys.readouterr().err == (
+        f"arcsort: error: cannot write {str(fifo)!r}: not a regular file\n"
+    )
+    assert stat.S_ISFIFO(fifo.lstat().st_mode)
+    assert [p.name for p in tmp_path.iterdir()] == ["pipe"]  # no temp file left
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from arcsort import DatasetError, DatasetSpec, count_digits, generate
@@ -150,3 +152,15 @@ def test_n_zero_is_empty():
 def test_distinct_draws_need_enough_values(kw, message):
     with pytest.raises(DatasetError, match=message):
         generate(spec(n=10, distinct=True, **kw))
+
+
+@pytest.mark.parametrize("distribution", ["uniform", "sorted-ascending", "reverse-sorted"])
+def test_distinct_draws_need_a_range_that_len_can_count(distribution):
+    lo = INT64_MAX - sys.maxsize  # [lo, INT64_MAX] holds sys.maxsize + 1 values
+    for value_lo in (INT64_MIN, lo):
+        with pytest.raises(DatasetError, match=rf"range \[{value_lo}, {INT64_MAX}\] is too wide"):
+            generate(spec(distribution=distribution, value_lo=value_lo, value_hi=INT64_MAX,
+                          distinct=True))
+    widest = generate(spec(distribution=distribution, value_lo=lo + 1, value_hi=INT64_MAX,
+                           distinct=True))
+    assert len(set(widest)) == 10

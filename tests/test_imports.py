@@ -67,6 +67,11 @@ def test_sort_of_a_file_with_metrics_loads_only_the_sort_path(tmp_path):
     assert sort_loads_off_path("--algo", "insertion", "--metrics", str(path)) == set()
 
 
+def test_cli_module_run_as_a_script_only_imports_itself():
+    proc = python("-m", "arcsort.cli", "gen", "--dist", "bogus", "--n", "3", "--seed", "1", "-o", "-")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+
+
 def test_bench_and_datagen_load_on_first_use():
     code = (
         "import sys, arcsort\n"

@@ -292,15 +292,15 @@ def test_count_digits_matches_decade_bounds(values):
 @given(values=full_range_lists)
 def test_distribute_invariants(values):
     table = distribute(values)
-    assert len(table.buckets) == table.k + 1
-    assert table.total == len(values)
+    assert len(table.buckets) == 1 + max(map(count_digits, values), default=0)
+    assert sum(table.occupancy) == len(values)
     assert all(x <= 0 for x in table.buckets[0])
     for b, bucket in enumerate(table.buckets):
         if b > 0:
             assert all(x > 0 and count_digits(x) == b for x in bucket)
         # arrival order: bucket contents equal a stable filter of the input
         assert bucket == [x for x in values if count_digits(x) == b]
-    assert concatenate(table) == [x for b in range(table.k + 1)
+    assert concatenate(table) == [x for b in range(len(table.buckets))
                                   for x in values if count_digits(x) == b]
 
 

@@ -32,11 +32,8 @@ def run(sort, values):
     return data, metrics
 
 
-def test_metrics_start_at_zero_and_reset():
+def test_metrics_start_at_zero():
     m = SortMetrics()
-    assert (m.comparisons, m.swaps, m.writes) == (0, 0, 0)
-    m.comparisons, m.swaps, m.writes = 3, 2, 1
-    m.reset()
     assert (m.comparisons, m.swaps, m.writes) == (0, 0, 0)
 
 
@@ -46,13 +43,6 @@ def test_metrics_accumulate_across_calls():
     first = m.comparisons
     enhanced_selection_sort([3, 1, 2], m)
     assert m.comparisons == 2 * first
-
-
-def test_metrics_copy_is_detached():
-    m = SortMetrics(1, 2, 3)
-    snap = m.copy()
-    m.comparisons = 99
-    assert snap == SortMetrics(1, 2, 3)
 
 
 class TestEnhancedSelection:
