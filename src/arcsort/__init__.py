@@ -16,7 +16,6 @@ from importlib import import_module
 
 from .buckets import (
     ALGORITHMS,
-    DISTRIBUTIONS,
     MAX_DIGITS,
     BucketTable,
     arc_sort,
@@ -24,8 +23,7 @@ from .buckets import (
     count_digits,
     distribute,
 )
-from .metrics import SortMetrics
-from .sorts import bubble_sort, enhanced_selection_sort, insertion_sort, selection_sort
+from .sorts import SortMetrics, bubble_sort, enhanced_selection_sort, insertion_sort, selection_sort
 
 # Public names of the modules that load on first use, and their module.
 _LAZY = dict.fromkeys(
@@ -43,7 +41,7 @@ _LAZY = dict.fromkeys(
         "summarize",
     ),
     "bench",
-) | dict.fromkeys(("DatasetError", "DatasetSpec", "generate"), "datagen")
+) | dict.fromkeys(("DISTRIBUTIONS", "DatasetError", "DatasetSpec", "generate"), "datagen")
 
 
 def __getattr__(name: str):
@@ -60,7 +58,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ALGORITHMS",
     "BucketTable",
-    "DISTRIBUTIONS",
     "MAX_DIGITS",
     "SortMetrics",
     "arc_sort",

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence, get_type_hints
 
 from .buckets import ALGORITHMS
 from .datagen import PRNG_NAME, DatasetSpec, generate
-from .metrics import SortMetrics
+from .sorts import SortMetrics
 
 CSV_HEADER = "algorithm,distribution,n,trial,elapsed_ns,comparisons,swaps,writes"
 CLOCK_NAME = "perf_counter_ns"
@@ -92,9 +92,10 @@ def run_benchmark(
 
     Per pair: ``warmup`` untimed repetitions absorb cache transients,
     then each trial times the sort of a fresh copy of its dataset.  Raises
-    :class:`BenchmarkError` for unknown algorithm names, trials < 1, or a
-    run whose output fails verification (verification is outside the
-    timed region).
+    :class:`BenchmarkError` for unknown algorithm names, a repeated name
+    or size, trials < 1, or a run whose output fails verification
+    (verification is outside the timed region).  Each dataset is
+    generated once, before the first timed run.
     """
     names = list(algorithms)
     unknown = [a for a in names if a not in ALGORITHMS]
@@ -103,28 +104,31 @@ def run_benchmark(
             f"unknown algorithm(s) {', '.join(map(repr, unknown))}; "
             f"valid: {', '.join(ALGORITHMS)}"
         )
+    for kind, items in (("algorithm", names), ("size", sizes)):
+        repeats = [x for i, x in enumerate(items) if x in items[:i]]
+        if repeats:  # its rows would repeat (algorithm, n, trial) and merge in the summary
+            raise BenchmarkError(f"{kind} {repeats[0]!r} is repeated")
     if trials < 1:
         raise BenchmarkError(f"trials must be >= 1, got {trials}")
     if warmup < 0:
         raise BenchmarkError(f"warmup must be >= 0, got {warmup}")
 
+    # per size, shared by every algorithm
+    seeds = {n: [derive_seed(spec_template.seed, n, t) for t in range(trials)] for n in sizes}
+    datasets = {n: [generate(replace(spec_template, n=n, seed=s)) for s in seeds[n]] for n in sizes}
     rows: list[TrialResult] = []
     for name in names:
         sort = ALGORITHMS[name]
         for n in sizes:
-            seeds = [derive_seed(spec_template.seed, n, t) for t in range(trials)]
-            datasets = [
-                generate(replace(spec_template, n=n, seed=s)) for s in seeds
-            ]
             for _ in range(warmup):
-                sort(list(datasets[0]), SortMetrics())
-            for trial, dataset in enumerate(datasets):
+                sort(list(datasets[n][0]), SortMetrics())
+            for trial, dataset in enumerate(datasets[n]):
                 buffer = list(dataset)
                 metrics = SortMetrics()
                 t0 = time.perf_counter_ns()
                 result = sort(buffer, metrics)
                 elapsed = time.perf_counter_ns() - t0
-                _verify(name, seeds[trial], dataset, result)
+                _verify(name, seeds[n][trial], dataset, result)
                 rows.append(
                     TrialResult(name, spec_template.distribution, n, trial, elapsed, metrics)
                 )

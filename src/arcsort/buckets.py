@@ -13,8 +13,8 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Sequence
 from itertools import chain
 
-from .metrics import SortMetrics
 from .sorts import (
+    SortMetrics,
     bubble_sort,
     check_keys,
     enhanced_selection_sort,
@@ -24,20 +24,6 @@ from .sorts import (
 
 # int64 values have at most 19 decimal digits.
 MAX_DIGITS = 19
-
-# Dataset shapes that ``datagen.generate`` builds; the CLI lists them.
-DISTRIBUTIONS = (
-    "uniform",
-    "one-per-bucket",
-    "single-bucket",
-    "sorted-ascending",
-    "reverse-sorted",
-    "with-negatives",
-)
-
-# Covers buckets 0-7 with a realistic multi-bucket spread.
-DEFAULT_VALUE_LO = -1_000_000
-DEFAULT_VALUE_HI = 1_000_000
 
 
 def count_digits(x: int) -> int:

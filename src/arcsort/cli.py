@@ -15,7 +15,7 @@ its summary on stderr when ``-o -`` or ``--plot -`` takes stdout.
 A plain ``sort`` command line is parsed here without argparse and loads
 only the sorts.  Any other line goes to :mod:`arcsort.commands`, the
 argparse front end with ``gen`` and ``bench``, which imports the dataset
-generators and the timing harness when they run.
+generators, and the timing harness when ``bench`` runs.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ from collections.abc import Sequence
 from types import SimpleNamespace
 
 from .buckets import ALGORITHMS
-from .metrics import SortMetrics
-from .sorts import INT64_MAX, INT64_MIN
+from .sorts import INT64_MAX, INT64_MIN, SortMetrics
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:

@@ -9,8 +9,11 @@ from __future__ import annotations
 import argparse
 import os
 
-from .buckets import ALGORITHMS, DEFAULT_VALUE_HI, DEFAULT_VALUE_LO, DISTRIBUTIONS
+from .buckets import ALGORITHMS
 from .cli import EXIT_BAD_ALGO, EXIT_BAD_SPEC, EXIT_IO, STDERR, CliError, cmd_sort, format_lines
+from .datagen import (
+    DEFAULT_VALUE_HI, DEFAULT_VALUE_LO, DISTRIBUTIONS, DatasetError, DatasetSpec, generate
+)
 
 DEFAULT_SIZES = "1000,5000,10000,20000"
 
@@ -20,8 +23,6 @@ def _csv_list(text: str) -> list[str]:
 
 
 def cmd_gen(args: argparse.Namespace) -> list[tuple[object, str]]:
-    from .datagen import DatasetError, DatasetSpec, generate
-
     spec = DatasetSpec(
         distribution=args.dist,
         n=args.n,
@@ -39,7 +40,6 @@ def cmd_gen(args: argparse.Namespace) -> list[tuple[object, str]]:
 
 def cmd_bench(args: argparse.Namespace) -> list[tuple[object, str]]:
     from . import bench
-    from .datagen import DatasetError, DatasetSpec
 
     if args.plot is not None:  # one destination for both would keep only the text written last
         output, plot = (p if p == "-" else os.path.realpath(p) for p in (args.output, args.plot))

@@ -11,15 +11,24 @@ import random
 import sys
 from dataclasses import dataclass
 
-from .buckets import (
-    DEFAULT_VALUE_HI,
-    DEFAULT_VALUE_LO,
-    DISTRIBUTIONS,
-    MAX_DIGITS,
-)
+from .buckets import MAX_DIGITS
 from .sorts import INT64_MAX, INT64_MIN
 
 PRNG_NAME = "mt19937-python-random"
+
+# Dataset shapes that ``generate`` builds; the CLI lists them.
+DISTRIBUTIONS = (
+    "uniform",
+    "one-per-bucket",
+    "single-bucket",
+    "sorted-ascending",
+    "reverse-sorted",
+    "with-negatives",
+)
+
+# Covers buckets 0-7 with a realistic multi-bucket spread.
+DEFAULT_VALUE_LO = -1_000_000
+DEFAULT_VALUE_HI = 1_000_000
 
 
 class DatasetError(ValueError):

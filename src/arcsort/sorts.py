@@ -1,7 +1,7 @@
 """Instrumented in-place ascending sorts over signed 64-bit integers.
 
 All four sorts mutate the sequence they are given and return it, report
-their work through a :class:`~arcsort.metrics.SortMetrics` accumulator,
+their work through a :class:`SortMetrics` accumulator,
 and are deterministic: the same input always yields the same output and
 the same counts.  Only insertion and bubble sort are stable, which is
 unobservable on plain integers.
@@ -33,10 +33,37 @@ from collections.abc import Callable, MutableSequence
 from itertools import islice
 from operator import index, indexOf, le
 
-from .metrics import SortMetrics
-
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
+
+
+class SortMetrics:
+    """Running totals of element-level work done by one or more sort calls.
+
+    comparisons counts element-to-element order tests, swaps counts
+    two-element exchanges, and writes counts single element stores
+    (insertion sort's shifts).  Counters accumulate across calls; a fresh
+    instance starts a fresh measurement.  Two instances are equal when all
+    three counts are; like any mutable record, it is unhashable.
+    """
+
+    def __init__(self, comparisons: int = 0, swaps: int = 0, writes: int = 0) -> None:
+        self.comparisons = comparisons
+        self.swaps = swaps
+        self.writes = writes
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(comparisons={self.comparisons!r}, "
+            f"swaps={self.swaps!r}, writes={self.writes!r})"
+        )
+
+    def __eq__(self, other: object):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.comparisons, self.swaps, self.writes) == (
+            other.comparisons, other.swaps, other.writes  # type: ignore[attr-defined]
+        )
 
 
 def check_keys(data: MutableSequence) -> None:

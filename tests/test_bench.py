@@ -67,6 +67,31 @@ def test_unknown_algorithm_rejected():
         small_report(algorithms=["arc", "quicksort"])
 
 
+@pytest.mark.parametrize(
+    "grid, repeat",
+    [
+        (dict(algorithms=["arc", "selection", "arc"]), "algorithm 'arc'"),
+        (dict(sizes=[3, 4, 3, 4]), "size 3"),
+    ],
+    ids=["algorithms", "sizes"],
+)
+def test_repeated_algorithm_or_size_rejected_before_any_dataset(monkeypatch, grid, repeat):
+    monkeypatch.setattr(bench, "generate", pytest.fail)
+    with pytest.raises(BenchmarkError, match=f"^{repeat} is repeated$"):
+        small_report(**grid)
+
+
+def test_each_dataset_is_generated_once(monkeypatch):
+    calls = []
+    generate = bench.generate
+    monkeypatch.setattr(bench, "generate", lambda spec: calls.append(spec) or generate(spec))
+    report = small_report(algorithms=["arc", "selection", "bubble"], sizes=[4, 8], trials=3)
+    assert len(report.rows) == 3 * 2 * 3
+    assert [(spec.n, spec.seed) for spec in calls] == [
+        (n, bench.derive_seed(TEMPLATE.seed, n, t)) for n in (4, 8) for t in range(3)
+    ]
+
+
 def test_zero_trials_rejected():
     with pytest.raises(BenchmarkError, match="trials"):
         small_report(trials=0)

@@ -7,6 +7,7 @@ import os
 import stat
 import subprocess
 import sys
+import tempfile
 from itertools import chain, product
 from pathlib import Path
 from unittest import mock
@@ -16,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import arcsort
-from arcsort import ALGORITHMS, cli
+from arcsort import ALGORITHMS, DatasetSpec, cli, generate
 from arcsort.bench import report_from_csv, report_to_csv
 from arcsort.cli import _sort_args, main
 from arcsort.commands import build_parser
@@ -502,6 +503,23 @@ def test_bench_bad_repetitions_exit_1(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "grid, repeat",
+    [(["--sizes", "3,3"], "size 3"), (["--algos", "arc,arc"], "algorithm 'arc'")],
+    ids=["sizes", "algos"],
+)
+@pytest.mark.parametrize("output", ["-", "r.csv"], ids=["stdout", "file"])
+def test_bench_repeated_entry_exit_1_and_writes_nothing(
+    tmp_path, monkeypatch, capsys, grid, repeat, output
+):
+    monkeypatch.chdir(tmp_path)
+    argv = ["bench", "--algos", "arc", "--sizes", "3", "--trials", "1", "--warmup", "0"]
+    assert main([*argv, *grid, "-o", output, "--plot", "p.tsv"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"arcsort: error: {repeat} is repeated\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("grid", [["--sizes", ""], ["--algos", ","]], ids=["no-sizes", "no-algos"])
 def test_bench_empty_grid_leaves_no_output(tmp_path, capsys, grid):
     out = tmp_path / "r.csv"
@@ -673,3 +691,114 @@ def test_sort_usage_errors_are_argparses(tmp_path, argv, stderr):
         [sys.executable, "-m", "arcsort", *argv], capture_output=True, cwd=tmp_path, env=env
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", stderr)
+
+
+
+# Where a generated command line points a path: ``new`` does not exist yet,
+# ``existing`` is a regular file that holds the drawn stdin, ``under-file``
+# is a path below that file, and ``same`` is --plot on the -o destination.
+PLACES = ["-", "", "new", "existing", "dir", "under-file"]
+STDIN_CHUNKS = st.one_of(
+    INT64S.map(lambda v: b"%d\n" % v),
+    st.text(max_size=8).map(lambda t: t.encode("utf-8", "surrogatepass") + b"\n"),
+    st.builds(bytes.__mul__, st.sampled_from([b"0", b"9", b"-0", b"+1"]), st.integers(1, 5000)),
+    st.sampled_from([b"\0", b"\xff", b"\xe9\n", b"\r", b"\n", b" ", b"_", b"-", b"+"]),
+    st.binary(max_size=6),
+)
+
+
+@st.composite
+def command_lines(draw):
+    """A ``sort``, ``gen`` or small ``bench`` command line; a path is a (role, place) pair."""
+    command = draw(st.sampled_from(["sort", "gen", "bench"]))
+    if command == "sort":
+        argv = ["sort", "--algo", draw(st.sampled_from([*ALGORITHMS, "bogus"]))]
+        argv += ["--metrics"] * draw(st.booleans())
+        return [*argv, ("input", draw(st.sampled_from(PLACES)))]
+    dist = draw(st.sampled_from([*arcsort.DISTRIBUTIONS, "bogus"]))
+    argv = [command, "--dist", dist, "--seed", str(draw(st.integers(0, 2**70)))]
+    for option in draw(st.lists(st.sampled_from(["--min", "--max"]), unique=True)):
+        argv += [option, str(draw(st.integers(-30, 30) | st.integers(-(2**64), 2**64)))]
+    if command == "gen":
+        argv += ["--n", str(draw(st.integers(-1, 25)))]
+        if draw(st.booleans()):
+            argv += ["--digit-class", str(draw(st.integers(-1, 20)))]
+        return [*argv, "-o", ("output", draw(st.sampled_from(PLACES)))]
+    algos = st.lists(st.sampled_from([*ALGORITHMS, "bogus"]), min_size=1, max_size=2)
+    sizes = st.lists(st.sampled_from([*map(str, range(-1, 21)), "x"]), min_size=1, max_size=3)
+    argv += ["--algos", ",".join(draw(algos)), "--sizes", ",".join(draw(sizes))]
+    argv += ["--trials", "1", "--warmup", "0", "-o", ("output", draw(st.sampled_from(PLACES)))]
+    plot = draw(st.none() | st.sampled_from(["same", *PLACES]))
+    return argv if plot is None else [*argv, "--plot", ("plot", plot)]
+
+
+def tree(root: str) -> dict[str, bytes | None]:
+    """Every path under ``root`` with its bytes, None for a directory."""
+    found = {}
+    for folder, dirs, files in os.walk(root):
+        found.update((os.path.join(folder, name), None) for name in dirs)
+        for name in files:
+            found[os.path.join(folder, name)] = Path(folder, name).read_bytes()
+    return found
+
+
+def parsed_reference(data: bytes) -> list[int]:
+    """The integers of input that ``sort`` accepted: one a line, signed, any leading zeros."""
+    values = []
+    for token in filter(None, (line.strip() for line in data.splitlines())):
+        sign = -1 if token.startswith(b"-") else 1
+        values.append(sign * int(token.lstrip(b"+-").lstrip(b"0") or b"0"))
+    return values
+
+
+@settings(max_examples=250, deadline=None)
+@given(
+    template=command_lines(),
+    stdin=st.lists(INT64S).map(cli.format_lines).map(str.encode)
+    | st.lists(STDIN_CHUNKS, max_size=6).map(b"".join),
+)
+def test_generated_command_lines_keep_the_exit_code_contract(template, stdin):
+    with tempfile.TemporaryDirectory() as root:
+        Path(root, "existing").write_bytes(stdin)
+        os.mkdir(os.path.join(root, "dir"))
+        argv: list[str] = []
+        for token in template:
+            if isinstance(token, tuple):
+                role, place = token
+                if place == "same":
+                    token = argv[argv.index("-o") + 1]
+                elif place in ("-", ""):
+                    token = place
+                else:
+                    where = {"new": role, "under-file": os.path.join("existing", "x")}
+                    token = os.path.join(root, where.get(place, place))
+            argv.append(token)
+        before = tree(root)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with mock.patch.multiple(sys, stdin=fake_stdin(stdin), stdout=stdout, stderr=stderr):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+        out = stdout.getvalue()
+        assert code in range(6), (argv, stderr.getvalue())
+        if code != 0:  # every refusal here comes before the first write
+            assert (out, tree(root)) == ("", before), argv
+            return
+        if argv[0] == "sort":
+            assert out == cli.format_lines(sorted(parsed_reference(stdin)))
+            return
+        args = build_parser().parse_args(argv)
+        if argv[0] == "gen":
+            spec = DatasetSpec(args.dist, args.n, args.seed, args.min, args.max, args.digit_class)
+            expected = cli.format_lines(generate(spec))
+            if args.output == "-":
+                assert out == expected
+            else:
+                assert (out, Path(args.output).read_text()) == ("", expected)
+        elif args.output == "-":
+            assert report_to_csv(report_from_csv(out)) == out
+        elif args.plot == "-":
+            assert out.startswith("# n\t")
+        else:
+            assert "median=" in out

@@ -11,8 +11,7 @@ import hashlib
 
 import pytest
 
-from arcsort.buckets import DEFAULT_VALUE_HI, DEFAULT_VALUE_LO
-from arcsort.datagen import DatasetSpec, generate
+from arcsort.datagen import DEFAULT_VALUE_HI, DEFAULT_VALUE_LO, DatasetSpec, generate
 
 SEEDS = (1, 42, 2014)
 SIZES = (0, 1, 9, 50, 500)

@@ -10,11 +10,11 @@ from pathlib import Path
 import pytest
 
 import arcsort
-from arcsort import bench, buckets, datagen, metrics, sorts
+from arcsort import bench, buckets, datagen, sorts
 from arcsort.cli import main
 
 SRC = str(Path(arcsort.__file__).resolve().parent.parent)
-DEFINING_MODULES = [metrics, sorts, buckets, datagen, bench]
+DEFINING_MODULES = [sorts, buckets, datagen, bench]
 
 # Modules the sort path has no use for: bench and datagen with the heavy
 # standard library they pull in, and the argparse front end with what it loads.
@@ -67,6 +67,12 @@ def test_sort_of_a_file_with_metrics_loads_only_the_sort_path(tmp_path):
     assert sort_loads_off_path("--algo", "insertion", "--metrics", str(path)) == set()
 
 
+def test_sort_command_loads_four_package_modules():
+    loaded = imported("-m", "arcsort", "sort", "--algo", "arc", "-", stdin=b"349\n34\n-72\n")
+    package = {m for m in loaded if m == "arcsort" or m.startswith("arcsort.")}
+    assert package == {"arcsort", "arcsort.buckets", "arcsort.cli", "arcsort.sorts"}
+
+
 def test_cli_module_run_as_a_script_only_imports_itself():
     proc = python("-m", "arcsort.cli", "gen", "--dist", "bogus", "--n", "3", "--seed", "1", "-o", "-")
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
@@ -77,6 +83,8 @@ def test_bench_and_datagen_load_on_first_use():
         "import sys, arcsort\n"
         "loaded = lambda: {'arcsort.bench', 'arcsort.datagen'} & set(sys.modules)\n"
         "assert loaded() == set(), loaded()\n"
+        "arcsort.DISTRIBUTIONS\n"
+        "assert loaded() == {'arcsort.datagen'}, loaded()\n"
         "arcsort.generate\n"
         "assert loaded() == {'arcsort.datagen'}, loaded()\n"
         "arcsort.run_benchmark\n"
