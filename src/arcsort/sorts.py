@@ -9,9 +9,12 @@ unobservable on plain integers.
 Each sort has exactly one definition, the plain-Python loop below, and
 each ends every pass in the state of its index loop in
 ``tests/oracles.py``, so outputs and counts are that loop's.  The two
-selection sorts scan each pass by value, with no per-element subscript,
-and search for the swap slot only when a swap is due; these two run
-every comparison they count.  The two baselines compute their counts
+selection sorts keep their unsorted part as consecutive blocks of
+``_BLOCK`` keys and scan each pass by value, with no per-element
+subscript, noting the block of each promotion.  The last promotion's
+block holds the slot, so when a swap is due the search reads that one
+block, not the half of the list behind the slot.  These two run every
+comparison they count.  The two baselines compute their counts
 rather than run them, which ROADMAP allows to them only: insertion sort
 reports its index loop's comparisons, not the ones its binary search
 makes, and bubble sort moves each pass's non-records as one block and
@@ -35,6 +38,9 @@ from operator import index, indexOf, le
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
+# keys per block of the selection sorts' working list: a pass starts one
+# loop per block and searches one block for its slot
+_BLOCK = 64
 
 
 class SortMetrics:
@@ -104,29 +110,37 @@ def enhanced_selection_sort(data: MutableSequence[int], metrics: SortMetrics) ->
 
     Each pass pops the last value of the unsorted part as the candidate
     and scans the rest by value, promoting on `>=` so the LAST occurrence
-    of the maximum wins.  Only if a value was promoted is its slot found,
-    by a C-level search from the tail, and the candidate written there:
-    the slot an index scan picks, so every state and count is the index
-    loop's.  Exactly n(n-1)/2 comparisons and at most n-1 swaps; on
-    duplicates the `>=` rule can swap a pair of equal values, which is
-    kept so swap counts stay reproducible.
+    of the maximum wins.  The unsorted part is kept as consecutive blocks
+    of ``_BLOCK`` keys, and each promotion notes its block; the last
+    promotion's block holds the maximum's last occurrence, so only if a
+    value was promoted is its slot found, by a C-level search from that
+    block's tail, and the candidate written there: the slot an index scan
+    picks, so every state and count is the index loop's.  Exactly
+    n(n-1)/2 comparisons and at most n-1 swaps; on duplicates the `>=`
+    rule can swap a pair of equal values, which is kept so swap counts
+    stay reproducible.
     """
     swaps = 0
     w = list(data)
-    for last in range(len(w) - 1, 0, -1):
-        top = w.pop()
+    blocks = [w[i:i + _BLOCK] for i in range(0, len(w), _BLOCK)]
+    for last in range(len(data) - 1, 0, -1):
+        tail = blocks[-1]
+        top = tail.pop()
+        if not tail:
+            blocks.pop()
         best_val = top
-        promoted = False
-        for v in w:
-            if v >= best_val:
-                best_val = v
-                promoted = True
-        if promoted:
-            w[len(w) - 1 - indexOf(reversed(w), best_val)] = top
+        hit = None
+        for blk in blocks:
+            for v in blk:
+                if v >= best_val:
+                    best_val = v
+                    hit = blk
+        if hit is not None:
+            hit[len(hit) - 1 - indexOf(reversed(hit), best_val)] = top
             swaps += 1
         data[last] = best_val
-    if w:
-        data[0] = w[0]
+    if blocks:
+        data[0] = blocks[0][0]
     metrics.comparisons += len(data) * (len(data) - 1) // 2
     metrics.swaps += swaps
 
@@ -135,29 +149,39 @@ def enhanced_selection_sort(data: MutableSequence[int], metrics: SortMetrics) ->
 def selection_sort(data: MutableSequence[int], metrics: SortMetrics) -> None:
     """Classic minimum-selection sort: one swap per pass, no early exit.
 
-    The unsorted part is kept reversed, so pass i pops ``data[i]`` from
-    the tail as the candidate and scans the rest by value, promoting on a
-    strict `<`.  Only if a value was promoted is its slot found, by a
-    C-level search from the tail: the minimum's FIRST occurrence in
-    ``data``, the slot an index scan picks, so every count is the index
-    loop's.  Exactly n(n-1)/2 comparisons and at most n-1 swaps.
+    The unsorted part is kept reversed, in blocks as in
+    :func:`enhanced_selection_sort`, so pass i pops ``data[i]`` from the
+    tail as the candidate and scans the rest by value.  It promotes on
+    `<=`, so the last promotion's block holds the minimum's last
+    occurrence in the working list, which is its FIRST occurrence in
+    ``data``: the slot an index scan picks.  A key equal to the candidate
+    may be promoted too, so the swap is due only if the minimum is below
+    the candidate, as the index scan's strict `<` has it; then the slot
+    is found by a C-level search from that block's tail, and every count
+    is the index loop's.  Exactly n(n-1)/2 comparisons and at most n-1
+    swaps.
     """
     swaps = 0
     w = list(reversed(data))
-    for i in range(len(w) - 1):
-        top = w.pop()
+    blocks = [w[i:i + _BLOCK] for i in range(0, len(w), _BLOCK)]
+    for i in range(len(data) - 1):
+        tail = blocks[-1]
+        top = tail.pop()
+        if not tail:
+            blocks.pop()
         best_val = top
-        promoted = False
-        for v in w:
-            if v < best_val:
-                best_val = v
-                promoted = True
-        if promoted:
-            w[len(w) - 1 - indexOf(reversed(w), best_val)] = top
+        hit = None
+        for blk in blocks:
+            for v in blk:
+                if v <= best_val:
+                    best_val = v
+                    hit = blk
+        if best_val < top:
+            hit[len(hit) - 1 - indexOf(reversed(hit), best_val)] = top
             swaps += 1
         data[i] = best_val
-    if w:
-        data[-1] = w[0]
+    if blocks:
+        data[-1] = blocks[0][0]
     metrics.comparisons += len(data) * (len(data) - 1) // 2
     metrics.swaps += swaps
 

@@ -24,6 +24,17 @@ from arcsort.commands import build_parser
 
 SRC = str(Path(arcsort.__file__).resolve().parent.parent)
 
+
+def run_arcsort(argv, *, env=None, launcher=(), **kwargs) -> subprocess.CompletedProcess:
+    """Run ``python -m arcsort *argv`` in a child, behind ``launcher`` if one is
+    given, with ``env`` added to this environment and ``SRC`` first on its path."""
+    child_env = {**os.environ, **(env or {})}
+    child_env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, child_env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [*launcher, sys.executable, "-m", "arcsort", *argv], env=child_env, **kwargs
+    )
+
+
 GOLDEN = "349\n34\n-72\n22\n14\n-1\n"
 GOLDEN_SORTED = "-72\n-1\n14\n22\n34\n349\n"
 
@@ -60,11 +71,11 @@ def test_sort_stdin_non_ascii_byte_names_line(monkeypatch, capsys):
 
 
 def test_sort_stdin_strict_codec_process_exits_3():
-    proc = subprocess.run(
-        [sys.executable, "-m", "arcsort", "sort", "--algo", "arc", "-"],
+    proc = run_arcsort(
+        ["sort", "--algo", "arc", "-"],
         input=b"1\n\xe9\n",
         capture_output=True,
-        env={**os.environ, "PYTHONIOENCODING": "utf-8:strict"},
+        env={"PYTHONIOENCODING": "utf-8:strict"},
     )
     assert proc.returncode == 3
     assert proc.stdout == b""
@@ -397,8 +408,8 @@ def test_empty_output_path_exit_2_and_leaves_nothing(tmp_path, monkeypatch, caps
 def test_bench_csv_to_full_stdout_leaves_no_plot(tmp_path, full_stream):
     plot = tmp_path / "p.tsv"  # the CSV goes to stdout, so the summary goes to stderr
     with open("/dev/full", "wb") as full:
-        proc = subprocess.run(
-            [sys.executable, "-m", "arcsort", *BENCH_TINY, "-o", "-", "--plot", str(plot)],
+        proc = run_arcsort(
+            [*BENCH_TINY, "-o", "-", "--plot", str(plot)],
             stdout=full if full_stream == "stdout" else subprocess.PIPE,
             stderr=full if full_stream == "stderr" else subprocess.PIPE,
         )
@@ -409,10 +420,7 @@ def test_bench_csv_to_full_stdout_leaves_no_plot(tmp_path, full_stream):
 
 
 def test_unwritable_output_process_prints_no_traceback(tmp_path):
-    proc = subprocess.run(
-        [sys.executable, "-m", "arcsort", *UNWRITABLE[0], str(tmp_path / "missing" / "x")],
-        capture_output=True,
-    )
+    proc = run_arcsort([*UNWRITABLE[0], str(tmp_path / "missing" / "x")], capture_output=True)
     assert proc.returncode == 2
     assert proc.stderr.startswith(b"arcsort: error: cannot write")
     assert b"Traceback" not in proc.stderr
@@ -426,8 +434,8 @@ def test_stdout_to_full_device_exit_2(tmp_path, command):
         "bench": [*UNWRITABLE[1], str(tmp_path / "r.csv")],  # only the summary goes to stdout
     }[command]
     with open("/dev/full", "wb") as full:
-        proc = subprocess.run(
-            [sys.executable, "-m", "arcsort", *argv],
+        proc = run_arcsort(
+            argv,
             input=b"3\n1\n",
             stdout=full,
             stderr=subprocess.PIPE,
@@ -455,14 +463,12 @@ CLOSED_STREAM = [
 )
 def test_closed_standard_stream_exit_2(tmp_path, argv, redirect, message):
     (tmp_path / "in.txt").write_text(GOLDEN)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    proc = subprocess.run(  # the shell closes the descriptor before Python starts
-        ["sh", "-c", f'exec "$@" {redirect}', "sh", sys.executable, "-m", "arcsort", *argv],
+    proc = run_arcsort(
+        argv,
+        launcher=["sh", "-c", f'exec "$@" {redirect}', "sh"],  # the shell closes the descriptor
         stdout=subprocess.PIPE if redirect == "<&-" else None,
         stderr=subprocess.PIPE,
         cwd=tmp_path,
-        env=env,
     )
     assert proc.returncode == 2
     assert proc.stderr == b"arcsort: error: " + message + b": [Errno 9] Bad file descriptor\n"
@@ -481,8 +487,8 @@ def test_closed_standard_stream_exit_2(tmp_path, argv, redirect, message):
 )
 def test_stderr_to_full_device_keeps_exit_code(argv, stdin, code, stdout):
     with open("/dev/full", "wb") as full:
-        proc = subprocess.run(
-            [sys.executable, "-m", "arcsort", *argv],
+        proc = run_arcsort(
+            argv,
             input=stdin,
             stdout=subprocess.PIPE,
             stderr=full,
@@ -566,11 +572,7 @@ def test_bench_single_algo_plot(tmp_path):
 
 def test_console_entry_point(tmp_path):
     path = write(tmp_path, "in.txt", GOLDEN)
-    proc = subprocess.run(
-        [sys.executable, "-m", "arcsort", "sort", "--algo", "arc", path],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_arcsort(["sort", "--algo", "arc", path], capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == GOLDEN_SORTED
 
@@ -685,11 +687,7 @@ USAGE = (
     ids=["bad-choice", "abbreviation", "no-arguments"],
 )
 def test_sort_usage_errors_are_argparses(tmp_path, argv, stderr):
-    env = {**os.environ, "COLUMNS": "80"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "arcsort", *argv], capture_output=True, cwd=tmp_path, env=env
-    )
+    proc = run_arcsort(argv, capture_output=True, cwd=tmp_path, env={"COLUMNS": "80"})
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", stderr)
 
 

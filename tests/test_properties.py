@@ -22,6 +22,7 @@ from arcsort import (
     selection_sort,
 )
 from arcsort.bench import ALGORITHMS
+from arcsort.sorts import _BLOCK
 from oracles import (
     bubble_count_laws,
     pair_comparisons,
@@ -43,6 +44,34 @@ dup_lists = st.lists(st.integers(min_value=-30, max_value=30), max_size=200)
 # reference parity: mostly ties, and wide values spanning many digit classes
 tie_lists = st.lists(st.integers(min_value=-2, max_value=2), max_size=64)
 wide_lists = st.lists(st.integers(min_value=-(10**9), max_value=10**9), max_size=64)
+
+
+@st.composite
+def block_lists(draw):
+    """Ties or wide values, of any length up to three blocks of the selection
+    sorts' working list and one key more, so most draws cross a block boundary."""
+    bound = draw(st.sampled_from([2, 10**9]))
+    n = draw(st.integers(min_value=0, max_value=3 * _BLOCK + 1))
+    return draw(st.lists(st.integers(min_value=-bound, max_value=bound), min_size=n, max_size=n))
+
+
+# one key short of a block, one block, one key over, two blocks, and one key over
+BLOCK_EXAMPLES = [
+    [(i * 37) % 5 - 2 for i in range(_BLOCK - 1)],
+    list(range(_BLOCK, 0, -1)),
+    # the extreme sits in the working list's first block and equals the
+    # candidate: no swap for selection, a swap of equal keys for enhanced
+    [0] + [1] * (_BLOCK - 1) + [0],
+    [i % 3 - 1 for i in range(2 * _BLOCK)],
+    [(i * 7919) % 1_000_003 - 500_000 for i in range(2 * _BLOCK + 1)],
+]
+
+
+def with_block_examples(test):
+    for values in BLOCK_EXAMPLES:
+        test = example(values=values)(test)
+    return test
+
 
 ALL_SORTS = [enhanced_selection_sort, selection_sort, insertion_sort, bubble_sort]
 
@@ -122,8 +151,9 @@ REFERENCES = {
 
 
 @pytest.mark.parametrize("name", list(REFERENCES))
+@with_block_examples
 @settings(deadline=None, max_examples=150)
-@given(values=st.one_of(tie_lists, wide_lists))
+@given(values=st.one_of(tie_lists, wide_lists, block_lists()))
 def test_selection_sorts_equal_reference(name, values):
     run = ALGORITHMS[name]
     expected_sorted, expected_cmp, expected_swaps = REFERENCES[name](values)
@@ -133,8 +163,9 @@ def test_selection_sorts_equal_reference(name, values):
 
 
 @pytest.mark.parametrize("name", list(REFERENCES))
+@with_block_examples
 @settings(deadline=None, max_examples=60)
-@given(values=st.one_of(tie_lists, wide_lists))
+@given(values=st.one_of(tie_lists, wide_lists, block_lists()))
 def test_selection_sorts_accumulate_and_accept_no_metrics(name, values):
     run = ALGORITHMS[name]
     expected_sorted, expected_cmp, expected_swaps = REFERENCES[name](values)
