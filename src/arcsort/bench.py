@@ -90,8 +90,10 @@ def run_benchmark(
 ) -> BenchmarkReport:
     """Time every (algorithm, size) pair over ``trials`` seeded datasets.
 
-    Per pair: ``warmup`` untimed repetitions absorb cache transients,
-    then each trial times the sort of a fresh copy of its dataset.  Raises
+    Per size, every algorithm runs ``warmup`` untimed sorts, then each
+    trial times every algorithm on a fresh copy of its dataset, rotating
+    which goes first, so a drift in the host's speed reaches all alike;
+    rows come in (algorithm, n, trial) order.  Raises
     :class:`BenchmarkError` for unknown algorithm names, a repeated name
     or size, trials < 1, or a run whose output fails verification
     (verification is outside the timed region).  Each dataset is
@@ -117,12 +119,14 @@ def run_benchmark(
     seeds = {n: [derive_seed(spec_template.seed, n, t) for t in range(trials)] for n in sizes}
     datasets = {n: [generate(replace(spec_template, n=n, seed=s)) for s in seeds[n]] for n in sizes}
     rows: list[TrialResult] = []
-    for name in names:
-        sort = ALGORITHMS[name]
-        for n in sizes:
+    for n in sizes:
+        for name in names:
             for _ in range(warmup):
-                sort(list(datasets[n][0]), SortMetrics())
-            for trial, dataset in enumerate(datasets[n]):
+                ALGORITHMS[name](list(datasets[n][0]), SortMetrics())
+        for trial, dataset in enumerate(datasets[n]):
+            for turn in range(len(names)):
+                name = names[(trial + turn) % len(names)]
+                sort = ALGORITHMS[name]
                 buffer = list(dataset)
                 metrics = SortMetrics()
                 t0 = time.perf_counter_ns()
@@ -132,6 +136,7 @@ def run_benchmark(
                 rows.append(
                     TrialResult(name, spec_template.distribution, n, trial, elapsed, metrics)
                 )
+    rows.sort(key=lambda row: names.index(row.algorithm))  # stable: (algorithm, n, trial)
 
     meta = ReportMeta(
         prng=PRNG_NAME,

@@ -10,16 +10,20 @@ Each sort has exactly one definition, the plain-Python loop below, and
 each ends every pass in the state of its index loop in
 ``tests/oracles.py``, so outputs and counts are that loop's.  The two
 selection sorts keep their unsorted part as consecutive blocks of
-``_BLOCK`` keys and scan each pass by value, with no per-element
-subscript, noting the block of each promotion.  The last promotion's
-block holds the slot, so when a swap is due the search reads that one
-block, not the half of the list behind the slot.  These two run every
-comparison they count.  The two baselines compute their counts
-rather than run them, which ROADMAP allows to them only: insertion sort
-reports its index loop's comparisons, not the ones its binary search
-makes, and bubble sort moves each pass's non-records as one block and
-stores only its records, found once from each key's count of larger keys
-to its left.
+``_BLOCK`` keys, in the order the index loop's scan reads it: data order
+for ``selection_sort``, reversed for ``enhanced_selection_sort``.  A pass
+pops its candidate from the head block and scans the rest by value,
+with no per-element subscript, noting the block of each promotion.
+Each kernel promotes on a strict test (`<`, or `>` against a threshold
+that starts at ``top - 1``), so the extreme is promoted where the scan
+first meets it.  No key before it in the last promotion's block equals
+it, so one C-level ``list.index`` of that block finds the index loop's
+slot.  These two run every comparison they count.  The two baselines
+compute their counts rather than run them, which ROADMAP allows to them
+only: insertion sort reports its index loop's comparisons, not the ones
+its binary search makes, and bubble sort moves each pass's non-records
+as one block and stores only its records, found once from each key's
+count of larger keys to its left.
 
 Every sort first applies the key rule of :func:`check_keys`, once per
 call: a non-int key with ``__index__`` is replaced by its int, and a
@@ -34,7 +38,7 @@ from __future__ import annotations
 from bisect import bisect_right, insort
 from collections.abc import Callable, MutableSequence
 from itertools import islice
-from operator import index, indexOf, le
+from operator import index, le
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
@@ -108,35 +112,40 @@ def _public(kernel: Callable[[MutableSequence[int], SortMetrics], None]):
 def enhanced_selection_sort(data: MutableSequence[int], metrics: SortMetrics) -> None:
     """Sort ascending by repeatedly swapping the maximum to the end.
 
-    Each pass pops the last value of the unsorted part as the candidate
-    and scans the rest by value, promoting on `>=` so the LAST occurrence
-    of the maximum wins.  The unsorted part is kept as consecutive blocks
-    of ``_BLOCK`` keys, and each promotion notes its block; the last
-    promotion's block holds the maximum's last occurrence, so only if a
-    value was promoted is its slot found, by a C-level search from that
-    block's tail, and the candidate written there: the slot an index scan
-    picks, so every state and count is the index loop's.  Exactly
-    n(n-1)/2 comparisons and at most n-1 swaps; on duplicates the `>=`
-    rule can swap a pair of equal values, which is kept so swap counts
-    stay reproducible.
+    The unsorted part is kept reversed, as consecutive blocks of
+    ``_BLOCK`` keys, so each pass pops its candidate ``data[last]`` from
+    the head block and scans the rest by value from ``data[last - 1]``
+    down to ``data[0]``.  It promotes on a strict `>` against a threshold
+    that starts at ``top - 1``: on int keys the first promotion is the
+    first key ``>= top``, so the candidate loses ties, and the maximum is
+    promoted where this scan first meets it, at its LAST occurrence in
+    ``data``.  Each promotion notes its block, and ``list.index`` finds
+    that first occurrence in the last promotion's block: the slot the
+    index loop's `>=` scan picks, so every state and count is that
+    loop's.  Exactly n(n-1)/2 comparisons and at most n-1 swaps; on
+    duplicates a pair of equal values can be swapped, which is kept so
+    swap counts stay reproducible.
     """
     swaps = 0
-    w = list(data)
+    w = list(data)  # a plain list: any mutable sequence may come in, and not all slice
+    w.reverse()
     blocks = [w[i:i + _BLOCK] for i in range(0, len(w), _BLOCK)]
     for last in range(len(data) - 1, 0, -1):
-        tail = blocks[-1]
-        top = tail.pop()
-        if not tail:
-            blocks.pop()
-        best_val = top
+        head = blocks[0]
+        top = head.pop(0)
+        if not head:
+            del blocks[0]
+        best_val = top - 1
         hit = None
         for blk in blocks:
             for v in blk:
-                if v >= best_val:
+                if v > best_val:
                     best_val = v
                     hit = blk
-        if hit is not None:
-            hit[len(hit) - 1 - indexOf(reversed(hit), best_val)] = top
+        if hit is None:
+            best_val = top
+        else:
+            hit[hit.index(best_val)] = top
             swaps += 1
         data[last] = best_val
     if blocks:
@@ -149,35 +158,33 @@ def enhanced_selection_sort(data: MutableSequence[int], metrics: SortMetrics) ->
 def selection_sort(data: MutableSequence[int], metrics: SortMetrics) -> None:
     """Classic minimum-selection sort: one swap per pass, no early exit.
 
-    The unsorted part is kept reversed, in blocks as in
+    The unsorted part is kept in data order, in blocks as in
     :func:`enhanced_selection_sort`, so pass i pops ``data[i]`` from the
-    tail as the candidate and scans the rest by value.  It promotes on
-    `<=`, so the last promotion's block holds the minimum's last
-    occurrence in the working list, which is its FIRST occurrence in
-    ``data``: the slot an index scan picks.  A key equal to the candidate
-    may be promoted too, so the swap is due only if the minimum is below
-    the candidate, as the index scan's strict `<` has it; then the slot
-    is found by a C-level search from that block's tail, and every count
-    is the index loop's.  Exactly n(n-1)/2 comparisons and at most n-1
-    swaps.
+    head block as the candidate and scans the rest by value from
+    ``data[i + 1]`` on, promoting on the index loop's strict `<`.  The
+    minimum is promoted where the scan first meets it, and ``list.index``
+    finds that first occurrence in the last promotion's block: the slot
+    the index loop picks.  The swap is due iff a key was promoted, so
+    every count is the index loop's.  Exactly n(n-1)/2 comparisons and at
+    most n-1 swaps.
     """
     swaps = 0
-    w = list(reversed(data))
+    w = list(data)
     blocks = [w[i:i + _BLOCK] for i in range(0, len(w), _BLOCK)]
     for i in range(len(data) - 1):
-        tail = blocks[-1]
-        top = tail.pop()
-        if not tail:
-            blocks.pop()
+        head = blocks[0]
+        top = head.pop(0)
+        if not head:
+            del blocks[0]
         best_val = top
         hit = None
         for blk in blocks:
             for v in blk:
-                if v <= best_val:
+                if v < best_val:
                     best_val = v
                     hit = blk
-        if best_val < top:
-            hit[len(hit) - 1 - indexOf(reversed(hit), best_val)] = top
+        if hit is not None:
+            hit[hit.index(best_val)] = top
             swaps += 1
         data[i] = best_val
     if blocks:
@@ -216,7 +223,7 @@ def bubble_sort(data: MutableSequence[int], metrics: SortMetrics) -> None:
 
     A pass carries each left-to-right maximum of ``data[:limit + 1]`` (a
     *record*) up to the next one and every other key one slot left (Knuth
-    §5.2.2).  A sorted input is one C-level check and one store.  Any other
+    §5.2.2).  A sorted input is one C-level check.  Any other
     input finds, once and by binary search, each key's count ``c`` of larger
     keys to its left: the key is a record from pass ``c + 1`` on.  Each pass
     is then one block move of ``data[1:limit + 1]`` left, plus a store of
@@ -231,7 +238,6 @@ def bubble_sort(data: MutableSequence[int], metrics: SortMetrics) -> None:
     comparisons = 0
     swaps = 0
     if n > 1 and all(map(le, data, islice(data, 1, None))):
-        data[n - 1] = data[n - 1]  # the one pass, which ends in a store
         comparisons = n - 1
     else:
         prefix = []

@@ -1,0 +1,138 @@
+"""Mutant check: every listed mutant of a sort kernel must fail its tests.
+
+Each sort has one definition, so the index loops in ``tests/oracles.py``
+and the tests built on them are the only guard on it.  This script shows
+that they catch plausible slips.  Each mutant is one exact text in one
+file, replaced by another, and the tests that must fail.  For each
+mutant, the script copies ``src/``, ``tests/`` and ``pyproject.toml`` to
+a temporary directory, applies the mutant there and runs the named tests
+with ``pytest -x -q``; the mutant is killed if they fail.  The unmutated
+copy must pass the same tests first.  An old text that does not occur
+exactly once is an error, so a refactor that makes a mutant stale fails
+loudly instead of passing vacuously.
+
+Run it from the root of the repository; it exits 0 only if every mutant
+is killed:
+
+    python3 tests/mutants.py
+
+It is not named ``test_*``, so tier-1 does not collect it.
+"""
+
+from __future__ import annotations
+
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+SORTS = "src/arcsort/sorts.py"
+PROPS = "tests/test_properties.py"
+SELECTION = (f"{PROPS}::test_selection_sorts_equal_reference[selection]",)
+ENHANCED = (
+    f"{PROPS}::test_selection_sorts_equal_reference[enhanced-selection]",
+    f"{PROPS}::test_selection_sorts_equal_reference[arc]",
+)
+BUBBLE = (
+    f"{PROPS}::test_bubble_equals_index_loop_reference",
+    f"{PROPS}::test_bubble_is_the_index_loop_at_oracle_mix_sizes",
+)
+INSERTION = (f"{PROPS}::test_insertion_equals_index_loop_reference",)
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = [
+    Mutant("selection: promote on <=", SORTS,
+           "if v < best_val:", "if v <= best_val:", SELECTION),
+    Mutant("selection: slot searched in the first promotion's block", SORTS,
+           "if v < best_val:\n                    best_val = v\n                    hit = blk",
+           "if v < best_val:\n                    best_val = v\n                    hit = hit or blk",
+           SELECTION),
+    Mutant("selection: empty head block left in place", SORTS,
+           "            del blocks[0]\n        best_val = top\n",
+           "            pass\n        best_val = top\n", SELECTION),
+    Mutant("selection: block slice one key short", SORTS,
+           "w = list(data)\n    blocks = [w[i:i + _BLOCK]",
+           "w = list(data)\n    blocks = [w[i:i + _BLOCK - 1]", SELECTION),
+    Mutant("enhanced-selection: threshold top, not top - 1", SORTS,
+           "best_val = top - 1", "best_val = top", ENHANCED),
+    Mutant("enhanced-selection: promote on >=", SORTS,
+           "if v > best_val:", "if v >= best_val:", ENHANCED),
+    Mutant("enhanced-selection: slot searched in the first promotion's block", SORTS,
+           "if v > best_val:\n                    best_val = v\n                    hit = blk",
+           "if v > best_val:\n                    best_val = v\n                    hit = hit or blk",
+           ENHANCED),
+    Mutant("enhanced-selection: threshold kept when nothing is promoted", SORTS,
+           "        if hit is None:\n            best_val = top\n        else:\n",
+           "        if hit is None:\n            pass\n        else:\n", ENHANCED),
+    Mutant("enhanced-selection: empty head block left in place", SORTS,
+           "            del blocks[0]\n        best_val = top - 1\n",
+           "            pass\n        best_val = top - 1\n", ENHANCED),
+    Mutant("enhanced-selection: block slice one key short", SORTS,
+           "w.reverse()\n    blocks = [w[i:i + _BLOCK]",
+           "w.reverse()\n    blocks = [w[i:i + _BLOCK - 1]", ENHANCED),
+    Mutant("bubble: stop when records >= limit", SORTS,
+           "if records > limit:", "if records >= limit:", BUBBLE),
+    Mutant("bubble: one swap too few a pass", SORTS,
+           "swaps += limit + 1 - records", "swaps += limit - records", BUBBLE),
+    Mutant("bubble: record stored at s - done", SORTS,
+           "data[s - shift] = x", "data[s - done] = x", BUBBLE),
+    Mutant("insertion: bisect_left", SORTS,
+           "pos = bisect_right(data, key, 0, i - 1)",
+           'pos = __import__("bisect").bisect_left(data, key, 0, i - 1)', INSERTION),
+    Mutant("insertion: the test that stopped the scan not counted", SORTS,
+           "comparisons += i - pos + (pos > 0)", "comparisons += i - pos", INSERTION),
+]
+
+
+def run_tests(tree: Path, tests: tuple[str, ...]) -> int:
+    """Exit code of ``pytest -x -q`` on ``tests`` inside ``tree``."""
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(command, cwd=tree, capture_output=True).returncode
+
+
+def main() -> int:
+    for m in MUTANTS:
+        count = (ROOT / m.file).read_text().count(m.old)
+        if count != 1:
+            print(f"stale mutant {m.name!r}: its old text occurs {count} times in {m.file}")
+            return 2
+    with tempfile.TemporaryDirectory(prefix="arcsort-mutants-") as tmp:
+        tree = Path(tmp)
+        shutil.copytree(ROOT / "src", tree / "src", ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copytree(ROOT / "tests", tree / "tests", ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(ROOT / "pyproject.toml", tree)
+        every_test = tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests))
+        if run_tests(tree, every_test) != 0:
+            print("the unmutated tree fails the named tests; no mutant can be judged")
+            return 2
+        survivors = []
+        for m in MUTANTS:
+            path = tree / m.file
+            original = path.read_text()
+            path.write_text(original.replace(m.old, m.new))
+            t0 = time.monotonic()
+            code = run_tests(tree, m.tests)
+            path.write_text(original)
+            killed = code == 1  # 1: tests ran and failed; others are usage or collection errors
+            print(f"{'killed' if killed else 'SURVIVED':8} {time.monotonic() - t0:5.1f} s  {m.name}"
+                  + ("" if killed else f" (pytest exit {code})"), flush=True)
+            if not killed:
+                survivors.append(m.name)
+    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -92,6 +92,30 @@ def test_each_dataset_is_generated_once(monkeypatch):
     ]
 
 
+def test_trials_interleave_algorithms_and_rotate_the_first(monkeypatch):
+    calls = []
+
+    def recorded(name, sort):
+        return lambda data, metrics: calls.append((name, len(data))) or sort(data, metrics)
+
+    names = ["arc", "selection", "bubble"]
+    for name in names:
+        monkeypatch.setitem(bench.ALGORITHMS, name, recorded(name, bench.ALGORITHMS[name]))
+    report = small_report(algorithms=names, sizes=[4, 8], trials=3, warmup=2)
+    warmups = [("arc", 4)] * 2 + [("selection", 4)] * 2 + [("bubble", 4)] * 2
+    trials = [
+        ("arc", 4), ("selection", 4), ("bubble", 4),
+        ("selection", 4), ("bubble", 4), ("arc", 4),
+        ("bubble", 4), ("arc", 4), ("selection", 4),
+    ]
+    eights = [(name, 8) for name, _ in warmups + trials]
+    assert calls == warmups + trials + eights
+    # rows stay in (algorithm, n, trial) order
+    assert [(r.algorithm, r.n, r.trial) for r in report.rows] == [
+        (name, n, t) for name in names for n in (4, 8) for t in range(3)
+    ]
+
+
 def test_zero_trials_rejected():
     with pytest.raises(BenchmarkError, match="trials"):
         small_report(trials=0)

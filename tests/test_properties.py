@@ -59,8 +59,8 @@ def block_lists(draw):
 BLOCK_EXAMPLES = [
     [(i * 37) % 5 - 2 for i in range(_BLOCK - 1)],
     list(range(_BLOCK, 0, -1)),
-    # the extreme sits in the working list's first block and equals the
-    # candidate: no swap for selection, a swap of equal keys for enhanced
+    # the extreme equals the candidate, a block away from it: no swap for
+    # selection, a swap of equal keys for enhanced
     [0] + [1] * (_BLOCK - 1) + [0],
     [i % 3 - 1 for i in range(2 * _BLOCK)],
     [(i * 7919) % 1_000_003 - 500_000 for i in range(2 * _BLOCK + 1)],
@@ -194,16 +194,21 @@ def test_insertion_equals_index_loop_reference(values):
 
 
 class Snapshots(list):
-    """A list that, after every item assignment, checks itself against the
-    next state of ``wanted``: ``missed`` ends empty only if every wanted
-    state occurs after some assignment, in order."""
+    """A list that checks itself against the next state of ``wanted`` at
+    the start and after every item assignment: ``missed`` ends empty only
+    if every wanted state occurs, in order.  A sorted input's only wanted
+    state is the input itself, which the start meets with no store."""
 
     def __init__(self, values, wanted):
         super().__init__(values)
         self.missed = wanted[::-1]
+        self._check()
 
     def __setitem__(self, index, value):
         super().__setitem__(index, value)
+        self._check()
+
+    def _check(self):
         if self.missed and self == self.missed[-1]:
             self.missed.pop()
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import enum
 import inspect
 import re
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -170,6 +171,18 @@ def test_sorts_in_place_with_negatives_and_duplicates(sort):
     values = [0, -1, 5, -10, 3, 3, 2, -1]
     data, _ = run(sort, values)
     assert data == sorted(values)
+
+
+# Any mutable sequence may come in, not only a list: a deque cannot be sliced.
+@pytest.mark.parametrize("sort", ALL_SORTS)
+def test_sorts_a_deque_as_they_sort_a_list(sort):
+    values = [(i * 37) % 23 - 11 for i in range(150)]  # three blocks, with duplicates
+    want, want_metrics = run(sort, values)
+    data = deque(values)
+    metrics = SortMetrics()
+    assert sort(data, metrics) is data
+    assert list(data) == want
+    assert metrics == want_metrics
 
 
 @pytest.mark.parametrize("sort", ALL_SORTS)
