@@ -14,16 +14,20 @@ are imported the first time one of their names is used.
 
 from importlib import import_module
 
-from .buckets import (
+from .sorts import (
     ALGORITHMS,
     MAX_DIGITS,
     BucketTable,
+    SortMetrics,
     arc_sort,
+    bubble_sort,
     concatenate,
     count_digits,
     distribute,
+    enhanced_selection_sort,
+    insertion_sort,
+    selection_sort,
 )
-from .sorts import SortMetrics, bubble_sort, enhanced_selection_sort, insertion_sort, selection_sort
 
 # Public names of the modules that load on first use, and their module.
 _LAZY = dict.fromkeys(

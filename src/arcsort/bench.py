@@ -15,9 +15,8 @@ import time
 from dataclasses import dataclass, fields, replace
 from typing import Iterable, Sequence, get_type_hints
 
-from .buckets import ALGORITHMS
 from .datagen import PRNG_NAME, DatasetSpec, generate
-from .sorts import SortMetrics
+from .sorts import ALGORITHMS, SortMetrics
 
 CSV_HEADER = "algorithm,distribution,n,trial,elapsed_ns,comparisons,swaps,writes"
 CLOCK_NAME = "perf_counter_ns"

@@ -26,8 +26,7 @@ import sys
 from collections.abc import Sequence
 from types import SimpleNamespace
 
-from .buckets import ALGORITHMS
-from .sorts import INT64_MAX, INT64_MIN, SortMetrics
+from .sorts import ALGORITHMS, INT64_MAX, INT64_MIN, SortMetrics
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 
-from .buckets import ALGORITHMS
+from .sorts import ALGORITHMS
 from .cli import EXIT_BAD_ALGO, EXIT_BAD_SPEC, EXIT_IO, STDERR, CliError, cmd_sort, format_lines
 from .datagen import (
     DEFAULT_VALUE_HI, DEFAULT_VALUE_LO, DISTRIBUTIONS, DatasetError, DatasetSpec, generate

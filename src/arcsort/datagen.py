@@ -11,8 +11,7 @@ import random
 import sys
 from dataclasses import dataclass
 
-from .buckets import MAX_DIGITS
-from .sorts import INT64_MAX, INT64_MIN
+from .sorts import INT64_MAX, INT64_MIN, MAX_DIGITS
 
 PRNG_NAME = "mt19937-python-random"
 

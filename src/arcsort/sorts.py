@@ -1,10 +1,15 @@
-"""Instrumented in-place ascending sorts over signed 64-bit integers.
+"""Instrumented ascending sorts over signed 64-bit integers.
 
-All four sorts mutate the sequence they are given and return it, report
-their work through a :class:`SortMetrics` accumulator,
-and are deterministic: the same input always yields the same output and
-the same counts.  Only insertion and bubble sort are stable, which is
-unobservable on plain integers.
+:func:`arc_sort` classifies keys by decimal digit count: bucket 0 collects
+every non-positive value (zero included, by convention), bucket b >= 1
+the positive values with exactly b digits.  The classes cover disjoint,
+increasing value ranges, so sorting each bucket independently and
+concatenating in bucket order sorts the whole input.  ``arc_sort``
+returns a new list; the four in-place sorts mutate the sequence they are
+given and return it.  All five report their work through a
+:class:`SortMetrics` accumulator and are deterministic: the same input
+always yields the same output and the same counts.  Only insertion and
+bubble sort are stable, which is unobservable on plain integers.
 
 Each sort has exactly one definition, the plain-Python loop below, and
 each ends every pass in the state of its index loop in
@@ -30,18 +35,19 @@ call: a non-int key with ``__index__`` is replaced by its int, and a
 ``bool``, any other key or a key outside int64 raises before the first
 pass, naming the first such key in input order.  Only :func:`_public`,
 which makes each in-place sort from its kernel, kept as ``.kernel``, and
-:func:`~arcsort.buckets.distribute`, for ``arc_sort``, call it.
+:func:`distribute`, for ``arc_sort``, call it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right, insort
-from collections.abc import Callable, MutableSequence
-from itertools import islice
+from collections.abc import Callable, Iterable, MutableSequence, Sequence
+from itertools import chain, islice
 from operator import index, le
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
+MAX_DIGITS = len(str(INT64_MAX))  # the most decimal digits an int64 key has
 # keys per block of the selection sorts' working list: a pass starts one
 # loop per block and searches one block for its slot
 _BLOCK = 64
@@ -261,10 +267,91 @@ def bubble_sort(data: MutableSequence[int], metrics: SortMetrics) -> None:
             shift = done + 1
             for s, x in zip(slots, keys):
                 data[s - shift] = x
-            data[limit] = top
             comparisons += limit
             swaps += limit + 1 - records
             if records > limit:
                 break
     metrics.comparisons += comparisons
     metrics.swaps += swaps
+
+
+def count_digits(x: int) -> int:
+    """Return the bucket index for ``x``: 0 if x <= 0, else its digit count."""
+    return len(str(x)) if x > 0 else 0
+
+
+class BucketTable:
+    """Elements grouped by digit class, in arrival order.
+
+    ``buckets[b]`` holds the inputs whose bucket index is ``b``; the last
+    bucket is the highest index observed.  Two tables are equal when
+    their buckets are; a table is unhashable.
+    """
+
+    def __init__(self, buckets: list[list[int]] | None = None) -> None:
+        self.buckets = [[]] if buckets is None else buckets
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(buckets={self.buckets!r})"
+
+    def __eq__(self, other: object):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.buckets == other.buckets  # type: ignore[attr-defined]
+
+    @property
+    def occupancy(self) -> list[int]:
+        return [len(b) for b in self.buckets]
+
+
+def distribute(values: Iterable[int]) -> BucketTable:
+    """Scatter values into digit-class buckets, preserving arrival order.
+
+    The values are copied and put through :func:`check_keys`
+    before the scatter, so the buckets hold plain ints and a bad key
+    raises :class:`TypeError` or :class:`OverflowError` naming the first
+    one in input order, as every sort does.  ``values`` is not changed.
+    """
+    keys = list(values)
+    check_keys(keys)
+    buckets: list[list[int]] = [[] for _ in range(MAX_DIGITS + 1)]
+    for x in keys:
+        buckets[count_digits(x)].append(x)
+    while len(buckets) > 1 and not buckets[-1]:  # bucket 0 stays, even empty
+        buckets.pop()
+    return BucketTable(buckets)
+
+
+def concatenate(table: BucketTable) -> list[int]:
+    """Flatten the table in ascending bucket order."""
+    return list(chain.from_iterable(table.buckets))
+
+
+def arc_sort(data: Sequence[int], metrics: SortMetrics | None = None) -> list[int]:
+    """Return the values sorted ascending; the input is left untouched.
+
+    Distributes into digit-class buckets, sorts each bucket holding at
+    least two elements with :func:`enhanced_selection_sort` (singleton and
+    empty buckets are skipped outright), and concatenates in bucket order.
+    Metrics accumulate across the per-bucket sorts, so total comparisons
+    equal the sum of c(c-1)/2 over bucket occupancies c.  The keys are
+    checked once, by :func:`distribute`, so each bucket runs the sort's kernel.
+    """
+    metrics = SortMetrics() if metrics is None else metrics
+    table = distribute(data)
+    for bucket in table.buckets:
+        if len(bucket) > 1:
+            enhanced_selection_sort.kernel(bucket, metrics)
+    return concatenate(table)
+
+
+# name -> the public sort: callable(buffer, metrics) -> sorted list.  The
+# four in-place sorts mutate the buffer and return it, so callers pass a
+# throwaway copy; arc_sort returns a new list.
+ALGORITHMS: dict[str, Callable[[list[int], SortMetrics | None], Sequence[int]]] = {
+    "arc": arc_sort,
+    "enhanced-selection": enhanced_selection_sort,
+    "selection": selection_sort,
+    "insertion": insertion_sort,
+    "bubble": bubble_sort,
+}

@@ -1,15 +1,17 @@
-"""Mutant check: every listed mutant of a sort kernel must fail its tests.
+"""Mutant check: every listed mutant of the library must fail its tests.
 
 Each sort has one definition, so the index loops in ``tests/oracles.py``
 and the tests built on them are the only guard on it.  This script shows
-that they catch plausible slips.  Each mutant is one exact text in one
+that they catch plausible slips in the kernels, the bucketing, the key
+rule and the CLI's integer parser.  Each mutant is one exact text in one
 file, replaced by another, and the tests that must fail.  For each
 mutant, the script copies ``src/``, ``tests/`` and ``pyproject.toml`` to
 a temporary directory, applies the mutant there and runs the named tests
 with ``pytest -x -q``; the mutant is killed if they fail.  The unmutated
 copy must pass the same tests first.  An old text that does not occur
 exactly once is an error, so a refactor that makes a mutant stale fails
-loudly instead of passing vacuously.
+loudly instead of passing vacuously; ``tests/test_mutants.py`` applies
+the same rule in tier-1.
 
 Run it from the root of the repository; it exits 0 only if every mutant
 is killed:
@@ -31,6 +33,7 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 SORTS = "src/arcsort/sorts.py"
+CLI = "src/arcsort/cli.py"
 PROPS = "tests/test_properties.py"
 SELECTION = (f"{PROPS}::test_selection_sorts_equal_reference[selection]",)
 ENHANCED = (
@@ -93,7 +96,29 @@ MUTANTS = [
            'pos = __import__("bisect").bisect_left(data, key, 0, i - 1)', INSERTION),
     Mutant("insertion: the test that stopped the scan not counted", SORTS,
            "comparisons += i - pos + (pos > 0)", "comparisons += i - pos", INSERTION),
+    Mutant("distribute: trailing empty buckets kept", SORTS,
+           "buckets.pop()", "break",
+           ("tests/test_buckets.py::test_distribute_golden",
+            f"{PROPS}::test_distribute_invariants")),
+    Mutant("count_digits: 0 filed in bucket 1", SORTS,
+           "if x > 0 else 0", "if x >= 0 else 0",
+           ("tests/test_buckets.py::test_count_digits",)),
+    Mutant("check_keys: bool accepted", SORTS,
+           "if isinstance(x, bool) or not hasattr", "if not hasattr",
+           ("tests/test_sorts.py::test_classic_sorts_reject_non_integer_keys",
+            "tests/test_buckets.py::test_arc_sort_rejects_non_integer_keys")),
+    Mutant("arc_sort: buckets sorted by the public sort, keys checked again", SORTS,
+           "enhanced_selection_sort.kernel(bucket, metrics)", "enhanced_selection_sort(bucket, metrics)",
+           ("tests/test_buckets.py::test_arc_sort_checks_keys_once",)),
+    Mutant("_read_lines: values cut to 19 digits", CLI,
+           "digits[:20]", "digits[:19]",
+           ("tests/test_cli.py::test_sort_very_long_value_is_out_of_range_and_not_printed",)),
 ]
+
+
+def occurrences(m: Mutant) -> int:
+    """How often the mutant's old text occurs in its file; anything but 1 is stale."""
+    return (ROOT / m.file).read_text().count(m.old)
 
 
 def run_tests(tree: Path, tests: tuple[str, ...]) -> int:
@@ -104,7 +129,7 @@ def run_tests(tree: Path, tests: tuple[str, ...]) -> int:
 
 def main() -> int:
     for m in MUTANTS:
-        count = (ROOT / m.file).read_text().count(m.old)
+        count = occurrences(m)
         if count != 1:
             print(f"stale mutant {m.name!r}: its old text occurs {count} times in {m.file}")
             return 2

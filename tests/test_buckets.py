@@ -184,14 +184,20 @@ def test_arc_sort_index_keys_keep_the_int64_range():
 
 def test_arc_sort_checks_keys_once(monkeypatch):
     # distribute applies the key rule; the per-bucket sorts must not repeat it
-    def checked_twice(data):
-        raise AssertionError("the per-bucket sort checked the keys again")
+    check_keys = sorts.check_keys
+    calls = []
 
-    monkeypatch.setattr(sorts, "check_keys", checked_twice)
+    def counted(data):
+        calls.append(list(data))
+        check_keys(data)
+
+    monkeypatch.setattr(sorts, "check_keys", counted)
     assert arc_sort(GOLDEN_INPUT) == GOLDEN_OUTPUT
-    for sort in IN_PLACE.values():  # the patch does reach each public sort
-        with pytest.raises(AssertionError):
-            sort([2, 1])
+    assert calls == [GOLDEN_INPUT]  # two buckets of GOLDEN_INPUT hold two keys or more
+    for sort in IN_PLACE.values():
+        calls.clear()
+        assert sort([2, 1]) == [1, 2]
+        assert calls == [[2, 1]], sort.__name__
 
 
 IN_PLACE = {

@@ -198,9 +198,18 @@ def test_sort_out_of_range_after_leading_zeros_names_its_value(tmp_path, capsys)
     assert captured.err == f"arcsort: error: line 2: {2**63} is outside the 64-bit range\n"
 
 
-@pytest.mark.parametrize("digits", [20, 5000])
-def test_sort_very_long_value_is_out_of_range_and_not_printed(tmp_path, capsys, digits):
-    path = write(tmp_path, "long.txt", "1\n-00" + "9" * digits + "\n")
+@pytest.mark.parametrize(
+    "token, digits",
+    [
+        pytest.param("-00" + "9" * 20, 20, id="20"),
+        pytest.param("-00" + "9" * 5000, 5000, id="5000"),
+        # 20 digits whose first 19 fit int64: the parser must not cut them to 19
+        pytest.param("+1" + "0" * 19, 20, id="20-prefix-fits-plus"),
+        pytest.param("-1" + "0" * 19, 20, id="20-prefix-fits-minus"),
+    ],
+)
+def test_sort_very_long_value_is_out_of_range_and_not_printed(tmp_path, capsys, token, digits):
+    path = write(tmp_path, "long.txt", "1\n" + token + "\n")
     assert main(["sort", "--algo", "arc", path]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

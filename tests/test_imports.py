@@ -10,11 +10,11 @@ from pathlib import Path
 import pytest
 
 import arcsort
-from arcsort import bench, buckets, datagen, sorts
+from arcsort import bench, datagen, sorts
 from arcsort.cli import main
 
 SRC = str(Path(arcsort.__file__).resolve().parent.parent)
-DEFINING_MODULES = [sorts, buckets, datagen, bench]
+DEFINING_MODULES = [sorts, datagen, bench]
 
 # Modules the sort path has no use for: bench and datagen with the heavy
 # standard library they pull in, and the argparse front end with what it loads.
@@ -53,7 +53,7 @@ def sort_loads_off_path(*args: str, stdin: bytes = b"") -> set[str]:
     """The modules of NOT_ON_SORT_PATH that ``arcsort sort *args`` imports."""
     bare = imported("-c", "pass")
     loaded = imported("-m", "arcsort", "sort", *args, stdin=stdin)
-    assert "arcsort.buckets" in loaded  # the probe sees the package's own imports
+    assert "arcsort.sorts" in loaded  # the probe sees the package's own imports
     return (loaded - bare) & NOT_ON_SORT_PATH
 
 
@@ -67,10 +67,10 @@ def test_sort_of_a_file_with_metrics_loads_only_the_sort_path(tmp_path):
     assert sort_loads_off_path("--algo", "insertion", "--metrics", str(path)) == set()
 
 
-def test_sort_command_loads_four_package_modules():
+def test_sort_command_loads_three_package_modules():
     loaded = imported("-m", "arcsort", "sort", "--algo", "arc", "-", stdin=b"349\n34\n-72\n")
     package = {m for m in loaded if m == "arcsort" or m.startswith("arcsort.")}
-    assert package == {"arcsort", "arcsort.buckets", "arcsort.cli", "arcsort.sorts"}
+    assert package == {"arcsort", "arcsort.cli", "arcsort.sorts"}
 
 
 def test_cli_module_run_as_a_script_only_imports_itself():

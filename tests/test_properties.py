@@ -195,9 +195,10 @@ def test_insertion_equals_index_loop_reference(values):
 
 class Snapshots(list):
     """A list that checks itself against the next state of ``wanted`` at
-    the start and after every item assignment: ``missed`` ends empty only
-    if every wanted state occurs, in order.  A sorted input's only wanted
-    state is the input itself, which the start meets with no store."""
+    the start and after every store, deletion and insertion: ``missed``
+    ends empty only if every wanted state occurs, in order.  A sorted
+    input's only wanted state is the input itself, which the start meets
+    with no store."""
 
     def __init__(self, values, wanted):
         super().__init__(values)
@@ -206,6 +207,14 @@ class Snapshots(list):
 
     def __setitem__(self, index, value):
         super().__setitem__(index, value)
+        self._check()
+
+    def __delitem__(self, index):
+        super().__delitem__(index)
+        self._check()
+
+    def insert(self, index, value):
+        super().insert(index, value)
         self._check()
 
     def _check(self):
