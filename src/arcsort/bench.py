@@ -16,6 +16,7 @@ from dataclasses import dataclass, fields, replace
 from typing import Iterable, Sequence, get_type_hints
 
 from .datagen import PRNG_NAME, DatasetSpec, generate
+from ._compiled import kernels
 from .sorts import ALGORITHMS, SortMetrics
 
 CSV_HEADER = "algorithm,distribution,n,trial,elapsed_ns,comparisons,swaps,writes"
@@ -49,6 +50,7 @@ class ReportMeta:
     clock: str
     warmup: int
     trials: int
+    backend: str  # "c" when the compiled kernels loaded, so bubble ran compiled; else "pure"
 
 
 @dataclass
@@ -145,6 +147,7 @@ def run_benchmark(
         clock=CLOCK_NAME,
         warmup=warmup,
         trials=trials,
+        backend="pure" if kernels() is None else "c",
     )
     return BenchmarkReport(meta, rows)
 

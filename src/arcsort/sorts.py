@@ -36,12 +36,18 @@ call: a non-int key with ``__index__`` is replaced by its int, and a
 pass, naming the first such key in input order.  Only :func:`_public`,
 which makes each in-place sort from its kernel, kept as ``.kernel``, and
 :func:`distribute`, for ``arc_sort``, call it.
+
+Bubble sort alone also has a compiled twin, the index loop itself in
+``_ckernels.c``.  Its public sort runs that twin whenever
+:mod:`arcsort._compiled` can build and load it, and its pure kernel
+otherwise.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right, insort
 from collections.abc import Callable, Iterable, MutableSequence, Sequence
+from functools import partial
 from itertools import chain, islice
 from operator import index, le
 
@@ -98,12 +104,23 @@ def check_keys(data: MutableSequence) -> None:
             raise OverflowError(f"{x} is outside the signed 64-bit range")
 
 
-def _public(kernel: Callable[[MutableSequence[int], SortMetrics], None]):
-    """The public sort of ``kernel``: check the keys, default the metrics, return the data."""
+def _public(kernel: Callable[[MutableSequence[int], SortMetrics], None], compiled: bool = False):
+    """The public sort of ``kernel``: check the keys, default the metrics, return the data.
+
+    A ``compiled`` kernel runs as its twin of the same name in
+    ``_ckernels.c`` whenever :mod:`arcsort._compiled` loads it, and as
+    itself otherwise.
+    """
 
     def sort(data: MutableSequence[int], metrics: SortMetrics | None = None) -> MutableSequence[int]:
         check_keys(data)
-        kernel(data, SortMetrics() if metrics is None else metrics)
+        metrics = SortMetrics() if metrics is None else metrics
+        if compiled:
+            from ._compiled import run  # imported by the first such call, not at launch
+
+            if run(kernel.__name__, data, metrics):
+                return data
+        kernel(data, metrics)
         return data
 
     # not functools.wraps: its __wrapped__ would make signature() show the kernel's
@@ -223,7 +240,7 @@ def insertion_sort(data: MutableSequence[int], metrics: SortMetrics) -> None:
     metrics.writes += writes
 
 
-@_public
+@partial(_public, compiled=True)
 def bubble_sort(data: MutableSequence[int], metrics: SortMetrics) -> None:
     """Adjacent-swap passes, stopping after the first pass with no swap.
 
@@ -239,6 +256,8 @@ def bubble_sort(data: MutableSequence[int], metrics: SortMetrics) -> None:
     order.  Every pass ends in the state of the index loop in
     ``tests/oracles.py``, and the counts are that loop's: ``limit``
     comparisons a pass and a swap for each key that is not a record.
+    The public sort runs that loop itself, compiled from ``_ckernels.c``,
+    whenever :mod:`arcsort._compiled` loads it, and this body otherwise.
     """
     n = len(data)
     comparisons = 0

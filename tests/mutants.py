@@ -3,12 +3,14 @@
 Each sort has one definition, so the index loops in ``tests/oracles.py``
 and the tests built on them are the only guard on it.  This script shows
 that they catch plausible slips in the kernels, the bucketing, the key
-rule and the CLI's integer parser.  Each mutant is one exact text in one
-file, replaced by another, and the tests that must fail.  For each
+rule and the CLI's integer parser, and in the compiled bubble sort of
+``_ckernels.c`` with its write-back.  Each mutant is one exact text in
+one file, replaced by another, and the tests that must fail.  For each
 mutant, the script copies ``src/``, ``tests/`` and ``pyproject.toml`` to
 a temporary directory, applies the mutant there and runs the named tests
-with ``pytest -x -q``; the mutant is killed if they fail.  The unmutated
-copy must pass the same tests first.  An old text that does not occur
+with ``pytest -x -q``; the mutant is killed if they fail.  The tests get
+a cache directory of their own, where each C mutant is built once.  The
+unmutated copy must pass the same tests first.  An old text that does not occur
 exactly once is an error, so a refactor that makes a mutant stale fails
 loudly instead of passing vacuously; ``tests/test_mutants.py`` applies
 the same rule in tier-1.
@@ -23,6 +25,7 @@ It is not named ``test_*``, so tier-1 does not collect it.
 
 from __future__ import annotations
 
+import os
 import shutil
 import subprocess
 import sys
@@ -34,6 +37,8 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 SORTS = "src/arcsort/sorts.py"
 CLI = "src/arcsort/cli.py"
+CKERNELS = "src/arcsort/_ckernels.c"
+COMPILED = "src/arcsort/_compiled.py"
 PROPS = "tests/test_properties.py"
 SELECTION = (f"{PROPS}::test_selection_sorts_equal_reference[selection]",)
 ENHANCED = (
@@ -45,6 +50,10 @@ BUBBLE = (
     f"{PROPS}::test_bubble_is_the_index_loop_at_oracle_mix_sizes",
 )
 INSERTION = (f"{PROPS}::test_insertion_equals_index_loop_reference",)
+COMPILED_BUBBLE = (
+    f"{PROPS}::test_compiled_bubble_equals_index_loop_reference",
+    f"{PROPS}::test_compiled_bubble_is_the_index_loop_at_oracle_mix_sizes",
+)
 
 
 class Mutant(NamedTuple):
@@ -91,6 +100,14 @@ MUTANTS = [
            "swaps += limit + 1 - records", "swaps += limit - records", BUBBLE),
     Mutant("bubble: record stored at s - done", SORTS,
            "data[s - shift] = x", "data[s - done] = x", BUBBLE),
+    Mutant("compiled bubble: swap on >=", CKERNELS,
+           "swaps += x > y;", "swaps += x >= y;", COMPILED_BUBBLE),
+    Mutant("compiled bubble: no early exit", CKERNELS,
+           "if (swaps == before)\n            break;", "", COMPILED_BUBBLE),
+    Mutant("compiled bubble: a pass one comparison short", CKERNELS,
+           "j < limit;", "j + 1 < limit;", COMPILED_BUBBLE),
+    Mutant("compiled bubble: the last key not written back", COMPILED,
+           "data[:] = keys.tolist()", "data[:-1] = keys.tolist()[:-1]", COMPILED_BUBBLE),
     Mutant("insertion: bisect_left", SORTS,
            "pos = bisect_right(data, key, 0, i - 1)",
            'pos = __import__("bisect").bisect_left(data, key, 0, i - 1)', INSERTION),
@@ -122,9 +139,11 @@ def occurrences(m: Mutant) -> int:
 
 
 def run_tests(tree: Path, tests: tuple[str, ...]) -> int:
-    """Exit code of ``pytest -x -q`` on ``tests`` inside ``tree``."""
+    """Exit code of ``pytest -x -q`` on ``tests`` inside ``tree``, with ``tree/cache``
+    as the cache directory, so no mutant's build lands in the user's."""
     command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
-    return subprocess.run(command, cwd=tree, capture_output=True).returncode
+    env = dict(os.environ, XDG_CACHE_HOME=str(tree / "cache"))
+    return subprocess.run(command, cwd=tree, env=env, capture_output=True).returncode
 
 
 def main() -> int:

@@ -18,6 +18,7 @@ from arcsort import (
     run_benchmark,
     summarize,
 )
+from backends import needs_cc, no_compiler
 
 TEMPLATE = DatasetSpec(distribution="uniform", n=0, seed=42)
 
@@ -155,12 +156,19 @@ def test_metadata_records_run_parameters():
     assert (meta.value_lo, meta.value_hi) == (TEMPLATE.value_lo, TEMPLATE.value_hi)
 
 
+@needs_cc
+def test_metadata_names_the_backend():
+    assert small_report(algorithms=["bubble"], trials=1).meta.backend == "c"
+    with no_compiler():
+        assert small_report(algorithms=["bubble"], trials=1).meta.backend == "pure"
+
+
 def _report_with_elapsed(elapsed_list):
     rows = [
         TrialResult("arc", "uniform", 8, t, e, SortMetrics(5, 1, 0))
         for t, e in enumerate(elapsed_list)
     ]
-    meta = ReportMeta("mt19937-python-random", 1, -10, 10, "perf_counter_ns", 0, len(rows))
+    meta = ReportMeta("mt19937-python-random", 1, -10, 10, "perf_counter_ns", 0, len(rows), "pure")
     return BenchmarkReport(meta, rows)
 
 
@@ -204,7 +212,7 @@ def test_csv_header_is_exact():
     assert header == "algorithm,distribution,n,trial,elapsed_ns,comparisons,swaps,writes"
     assert lines.index(header) == len(comments)  # metadata precedes the header
     keys = [c.lstrip("# ").split("=")[0] for c in comments]
-    assert keys == ["prng", "seed", "value_lo", "value_hi", "clock", "warmup", "trials"]
+    assert keys == ["prng", "seed", "value_lo", "value_hi", "clock", "warmup", "trials", "backend"]
 
 
 def test_csv_rejects_bad_header():
@@ -227,7 +235,7 @@ def test_csv_malformed_metadata_rejected():
 
 
 @pytest.mark.parametrize(
-    "key", ["prng", "seed", "value_lo", "value_hi", "clock", "warmup", "trials"]
+    "key", ["prng", "seed", "value_lo", "value_hi", "clock", "warmup", "trials", "backend"]
 )
 def test_csv_missing_metadata_key_named(key):
     text = report_to_csv(small_report(sizes=[4], trials=1))
@@ -238,7 +246,7 @@ def test_csv_missing_metadata_key_named(key):
 
 def test_csv_ignores_unknown_metadata_key():
     report = small_report(sizes=[4], trials=1)
-    assert report_from_csv("# backend=pure\n" + report_to_csv(report)) == report
+    assert report_from_csv("# host=example\n" + report_to_csv(report)) == report
 
 
 def test_plot_data_grid():

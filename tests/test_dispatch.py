@@ -3,7 +3,9 @@
 Each entry point has one definition, so it is checked directly: the
 result equals ``sorted()``, counts add onto whatever the accumulator
 already holds, ``metrics=None`` works, ``arc_sort`` leaves its input
-alone, and every result value is a plain ``int``.
+alone, and every result value is a plain ``int``.  Bubble sort also has
+a compiled twin: where it cannot be built or loaded, the pure kernel runs
+with the same output and counts.
 """
 
 from __future__ import annotations
@@ -25,6 +27,9 @@ from arcsort import (
     insertion_sort,
     selection_sort,
 )
+from arcsort._compiled import kernels
+from backends import needs_cc
+from oracles import reference_bubble
 
 ENTRY_POINTS = [enhanced_selection_sort, selection_sort, insertion_sort, bubble_sort, arc_sort]
 IDS = [fn.__name__ for fn in ENTRY_POINTS]
@@ -76,3 +81,67 @@ def test_import_leaves_numpy_unloaded():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = "import sys, arcsort; sys.exit('numpy' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+@pytest.fixture
+def fresh_loader():
+    """Make ``kernels`` observe the test's environment, and the real one after."""
+    kernels.cache_clear()
+    yield
+    kernels.cache_clear()
+
+
+def fake_cc(directory: Path, script: str) -> Path:
+    """A directory holding only a ``cc`` that runs ``script`` in sh."""
+    directory.mkdir()
+    cc = directory / "cc"
+    cc.write_text("#!/bin/sh\n" + script)
+    cc.chmod(0o755)
+    return directory
+
+
+def cc_missing(tmp_path, monkeypatch):
+    monkeypatch.setenv("PATH", str(tmp_path))
+
+
+def cache_unwritable(tmp_path, monkeypatch):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(blocker / "cache"))  # no directory goes under a file
+
+
+def build_fails(tmp_path, monkeypatch):
+    monkeypatch.setenv("PATH", str(fake_cc(tmp_path / "bin", "exit 1\n")))
+
+
+def load_fails(tmp_path, monkeypatch):
+    writes_junk = 'while [ $# -gt 0 ]; do [ "$1" = -o ] && echo junk > "$2"; shift; done\n'
+    monkeypatch.setenv("PATH", str(fake_cc(tmp_path / "bin", writes_junk)))
+
+
+@pytest.mark.parametrize("fault", [cc_missing, cache_unwritable, build_fails, load_fails])
+def test_bubble_falls_back_to_its_pure_kernel(fresh_loader, monkeypatch, tmp_path, fault):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    fault(tmp_path, monkeypatch)
+    assert kernels() is None
+    for values in INPUTS:
+        expected_sorted, expected_cmp, expected_swaps = reference_bubble(values)
+        data = list(values)
+        metrics = SortMetrics()
+        assert bubble_sort(data, metrics) is data
+        assert data == expected_sorted
+        assert metrics == SortMetrics(comparisons=expected_cmp, swaps=expected_swaps)
+    if fault is build_fails:  # the temp file the build wrote to is gone
+        assert list((tmp_path / "cache" / "arcsort").iterdir()) == []
+
+
+@needs_cc
+def test_build_is_cached_and_then_needs_no_compiler(fresh_loader, monkeypatch, tmp_path):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    assert kernels() is not None
+    (built,) = (tmp_path / "arcsort").iterdir()
+    assert built.name.startswith("_ckernels-") and built.suffix == ".so"
+    kernels.cache_clear()
+    monkeypatch.setenv("PATH", str(built.parent))  # no cc there
+    assert kernels() is not None
+    assert list(built.parent.iterdir()) == [built]

@@ -17,7 +17,9 @@ SRC = str(Path(arcsort.__file__).resolve().parent.parent)
 DEFINING_MODULES = [sorts, datagen, bench]
 
 # Modules the sort path has no use for: bench and datagen with the heavy
-# standard library they pull in, and the argparse front end with what it loads.
+# standard library they pull in, the argparse front end with what it loads,
+# ctypes, which only a bubble sort needs, to load the compiled kernels, and
+# hashlib, whose OpenSSL would add 3.7 MB to every process that loads it.
 NOT_ON_SORT_PATH = {
     "arcsort.bench",
     "arcsort.datagen",
@@ -28,6 +30,8 @@ NOT_ON_SORT_PATH = {
     "argparse",
     "gettext",
     "locale",
+    "ctypes",
+    "hashlib",
 }
 
 

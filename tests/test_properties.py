@@ -22,7 +22,9 @@ from arcsort import (
     selection_sort,
 )
 from arcsort.bench import ALGORITHMS
+from arcsort._compiled import kernels
 from arcsort.sorts import _BLOCK
+from backends import needs_cc, no_compiler
 from oracles import (
     bubble_count_laws,
     pair_comparisons,
@@ -223,11 +225,13 @@ class Snapshots(list):
 
 
 def assert_bubble_is_the_index_loop(values) -> SortMetrics:
+    """The pure kernel: its compiled twin stores only the final state."""
     pass_ends = []
     expected_sorted, expected_cmp, expected_swaps = reference_bubble(values, pass_ends)
     data = Snapshots(values, pass_ends)
     metrics = SortMetrics()
-    assert ALGORITHMS["bubble"](data, metrics) is data
+    with no_compiler():
+        assert ALGORITHMS["bubble"](data, metrics) is data
     assert data == expected_sorted
     assert metrics == SortMetrics(comparisons=expected_cmp, swaps=expected_swaps)
     assert data.missed == []
@@ -255,7 +259,8 @@ def test_bubble_equals_index_loop_reference(values):
 def test_bubble_counts_follow_the_pass_and_swap_laws(values):
     expected_cmp, expected_swaps = bubble_count_laws(values)
     metrics = SortMetrics()
-    bubble_sort(list(values), metrics)
+    with no_compiler():
+        bubble_sort(list(values), metrics)
     assert metrics == SortMetrics(comparisons=expected_cmp, swaps=expected_swaps)
 
 
@@ -276,6 +281,34 @@ def bubble_inputs_at_oracle_mix_sizes():
 def test_bubble_is_the_index_loop_at_oracle_mix_sizes(values):
     metrics = assert_bubble_is_the_index_loop(values)
     assert (metrics.comparisons, metrics.swaps) == bubble_count_laws(values)
+
+
+def assert_compiled_bubble_is_the_index_loop(values) -> None:
+    assert kernels() is not None  # a compiler is on PATH: the C twin must load
+    expected_sorted, expected_cmp, expected_swaps = reference_bubble(values)
+    data = list(values)
+    metrics = SortMetrics(comparisons=7, swaps=5, writes=3)
+    assert bubble_sort(data, metrics) is data
+    assert data == expected_sorted
+    assert metrics == SortMetrics(comparisons=7 + expected_cmp, swaps=5 + expected_swaps, writes=3)
+
+
+@needs_cc
+@example(values=[])
+@example(values=[1])
+@example(values=[2, 1])
+@example(values=[1, 1, 0])
+@example(values=[2, 1, 3])
+@settings(deadline=None, max_examples=300)
+@given(values=st.one_of(index_loop_inputs, dup_lists))
+def test_compiled_bubble_equals_index_loop_reference(values):
+    assert_compiled_bubble_is_the_index_loop(values)
+
+
+@needs_cc
+@pytest.mark.parametrize("values", bubble_inputs_at_oracle_mix_sizes())
+def test_compiled_bubble_is_the_index_loop_at_oracle_mix_sizes(values):
+    assert_compiled_bubble_is_the_index_loop(values)
 
 
 @settings(deadline=None, max_examples=100)

@@ -22,8 +22,11 @@ from arcsort import (
     insertion_sort,
     selection_sort,
 )
+from backends import bubble_sort_pure
 
 ALL_SORTS = [enhanced_selection_sort, selection_sort, insertion_sort, bubble_sort]
+# bubble_sort runs compiled where a compiler is found, so its pure kernel runs too
+BOTH_PATHS = [*ALL_SORTS, bubble_sort_pure]
 
 
 def run(sort, values):
@@ -174,7 +177,7 @@ def test_sorts_in_place_with_negatives_and_duplicates(sort):
 
 
 # Any mutable sequence may come in, not only a list: a deque cannot be sliced.
-@pytest.mark.parametrize("sort", ALL_SORTS)
+@pytest.mark.parametrize("sort", BOTH_PATHS)
 def test_sorts_a_deque_as_they_sort_a_list(sort):
     values = [(i * 37) % 23 - 11 for i in range(150)]  # three blocks, with duplicates
     want, want_metrics = run(sort, values)
@@ -194,7 +197,7 @@ def test_int64_extremes(sort):
 
 # The classic sorts follow distribute's key rule: the same errors, raised
 # before the first pass, so a rejected input is left as it was given.
-@pytest.mark.parametrize("sort", ALL_SORTS)
+@pytest.mark.parametrize("sort", BOTH_PATHS)
 @pytest.mark.parametrize(
     "values, bad",
     [
@@ -212,7 +215,7 @@ def test_classic_sorts_reject_non_integer_keys(sort, values, bad):
     assert data == values
 
 
-@pytest.mark.parametrize("sort", ALL_SORTS)
+@pytest.mark.parametrize("sort", BOTH_PATHS)
 @pytest.mark.parametrize("value", [2**63, 10**19, -(2**63) - 1, 2**64])
 def test_classic_sorts_reject_keys_outside_int64(sort, value):
     data = [5, value, -1]  # 2**64 was sorted after -1
@@ -236,7 +239,7 @@ class Index:
         return self.value
 
 
-@pytest.mark.parametrize("sort", ALL_SORTS)
+@pytest.mark.parametrize("sort", BOTH_PATHS)
 def test_classic_sorts_convert_index_keys_to_int(sort):
     plain, plain_metrics = run(sort, [30, 12, -1, 5])
     data, metrics = run(sort, [Index(30), Digits.TWELVE, Index(-1), 5])
@@ -245,7 +248,7 @@ def test_classic_sorts_convert_index_keys_to_int(sort):
     assert metrics == plain_metrics
 
 
-@pytest.mark.parametrize("sort", ALL_SORTS)
+@pytest.mark.parametrize("sort", BOTH_PATHS)
 def test_classic_sorts_index_keys_keep_the_int64_range(sort):
     with pytest.raises(OverflowError, match=str(2**63)):
         sort([Index(2**63), 1])
