@@ -1,9 +1,11 @@
 /* Compiled twins of kernels in sorts.py, called through ctypes.
  *
- * sorts._ckernels builds this file on first use with `cc -O2 -shared
+ * arcsort._compiled builds this file on first use with `cc -O2 -shared
  * -fPIC` and loads it; where it cannot, the pure-Python kernels run.
- * Each function here takes the keys as int64_t, leaves them as its pure
- * twin does and reports the same counts. */
+ * Every function here is void name(int64_t *a, int64_t n, int64_t *counts):
+ * it sorts the n keys of a in place, leaving them as its pure twin does,
+ * and stores the same counts, the comparisons in counts[0] and the swaps
+ * in counts[1]. */
 
 #include <stdint.h>
 
@@ -13,8 +15,7 @@
  * after the first pass with no swap.  The pass carries the larger key
  * of each pair in x and stores the smaller one, without a branch: on
  * uniform input the swap test goes either way at random.  Equal keys
- * are not swapped, and storing either one leaves the same array.
- * counts[0] gets the comparisons and counts[1] the swaps. */
+ * are not swapped, and storing either one leaves the same array. */
 void bubble_sort(int64_t *a, int64_t n, int64_t *counts)
 {
     int64_t comparisons = 0, swaps = 0;

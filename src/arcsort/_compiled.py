@@ -24,10 +24,12 @@ def kernels():
 
     The library is cached in the user cache directory under a name keyed
     by a CRC of the source and :data:`_CFLAGS`, so a build is reused
-    until either changes.  ``cc`` writes a temp file there that
-    ``os.replace`` moves into place, so concurrent first calls are safe.
-    No compiler, no writable cache, a failed build or a failed load gives
-    None, and the sorts run their pure kernels.
+    until either changes.  Where that name holds nothing this host can
+    load, ``cc`` builds into a temporary directory there, and only a
+    build that loads is moved onto the name by ``os.replace``: concurrent
+    first calls are safe, and a failed build or load leaves nothing
+    behind.  No compiler, no writable cache, a failed build or a failed
+    load gives None, and the sorts run their pure kernels.
     """
     import ctypes
     from binascii import crc32  # not hashlib: its OpenSSL adds 3.7 MB to a process
@@ -40,27 +42,21 @@ def kernels():
             os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache"), "arcsort"
         )
         path = os.path.join(cache_dir, f"_ckernels-{key:08x}.so")
-        if not os.path.exists(path):
-            import shutil
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:  # not built yet, or built into something this host cannot load
             import subprocess
             import tempfile
 
-            cc = shutil.which("cc")
-            if cc is None:
-                return None
             os.makedirs(cache_dir, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(".so", dir=cache_dir)
-            os.close(fd)
-            try:
-                subprocess.run([cc, *_CFLAGS, "-o", tmp, source], check=True, capture_output=True)
-                os.replace(tmp, path)
-            except subprocess.SubprocessError:
-                return None
-            finally:
-                if os.path.exists(tmp):
-                    os.remove(tmp)
-        lib = ctypes.CDLL(path)
-    except OSError:
+            with tempfile.TemporaryDirectory(dir=cache_dir) as tmp:
+                built = os.path.join(tmp, "_ckernels.so")
+                cc = subprocess.run(["cc", *_CFLAGS, "-o", built, source], capture_output=True)
+                if cc.returncode:
+                    return None
+                lib = ctypes.CDLL(built)
+                os.replace(built, path)
+    except OSError:  # FileNotFoundError too, where no cc is on PATH
         return None
     lib.bubble_sort.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p)
     lib.bubble_sort.restype = None

@@ -50,7 +50,7 @@ class ReportMeta:
     clock: str
     warmup: int
     trials: int
-    backend: str  # "c" when the compiled kernels loaded, so bubble ran compiled; else "pure"
+    backend: str  # "c" when a sort of the grid has a compiled twin and it loaded; else "pure"
 
 
 @dataclass
@@ -139,6 +139,7 @@ def run_benchmark(
                 )
     rows.sort(key=lambda row: names.index(row.algorithm))  # stable: (algorithm, n, trial)
 
+    compiled = any(getattr(ALGORITHMS[a], "compiled", False) for a in names)  # arc_sort has none
     meta = ReportMeta(
         prng=PRNG_NAME,
         seed=spec_template.seed,
@@ -147,7 +148,7 @@ def run_benchmark(
         clock=CLOCK_NAME,
         warmup=warmup,
         trials=trials,
-        backend="pure" if kernels() is None else "c",
+        backend="c" if compiled and kernels() is not None else "pure",
     )
     return BenchmarkReport(meta, rows)
 

@@ -109,7 +109,7 @@ def _public(kernel: Callable[[MutableSequence[int], SortMetrics], None], compile
 
     A ``compiled`` kernel runs as its twin of the same name in
     ``_ckernels.c`` whenever :mod:`arcsort._compiled` loads it, and as
-    itself otherwise.
+    itself otherwise.  The sort keeps the flag as ``.compiled``.
     """
 
     def sort(data: MutableSequence[int], metrics: SortMetrics | None = None) -> MutableSequence[int]:
@@ -128,6 +128,7 @@ def _public(kernel: Callable[[MutableSequence[int], SortMetrics], None], compile
     sort.__qualname__ = kernel.__qualname__
     sort.__doc__ = kernel.__doc__
     sort.kernel = kernel
+    sort.compiled = compiled
     return sort
 
 

@@ -3,8 +3,9 @@
 Each sort has one definition, so the index loops in ``tests/oracles.py``
 and the tests built on them are the only guard on it.  This script shows
 that they catch plausible slips in the kernels, the bucketing, the key
-rule and the CLI's integer parser, and in the compiled bubble sort of
-``_ckernels.c`` with its write-back.  Each mutant is one exact text in
+rule and the CLI's integer parser, in the compiled bubble sort of
+``_ckernels.c`` with its write-back, and in the loader and the bench
+label that choose the backend.  Each mutant is one exact text in
 one file, replaced by another, and the tests that must fail.  For each
 mutant, the script copies ``src/``, ``tests/`` and ``pyproject.toml`` to
 a temporary directory, applies the mutant there and runs the named tests
@@ -39,6 +40,7 @@ SORTS = "src/arcsort/sorts.py"
 CLI = "src/arcsort/cli.py"
 CKERNELS = "src/arcsort/_ckernels.c"
 COMPILED = "src/arcsort/_compiled.py"
+BENCH = "src/arcsort/bench.py"
 PROPS = "tests/test_properties.py"
 SELECTION = (f"{PROPS}::test_selection_sorts_equal_reference[selection]",)
 ENHANCED = (
@@ -108,6 +110,13 @@ MUTANTS = [
            "j < limit;", "j + 1 < limit;", COMPILED_BUBBLE),
     Mutant("compiled bubble: the last key not written back", COMPILED,
            "data[:] = keys.tolist()", "data[:-1] = keys.tolist()[:-1]", COMPILED_BUBBLE),
+    Mutant("loader: a fresh build published before it loads", COMPILED,
+           "lib = ctypes.CDLL(built)\n                os.replace(built, path)",
+           "os.replace(built, path)\n                lib = ctypes.CDLL(path)",
+           ("tests/test_dispatch.py::test_bubble_falls_back_to_its_pure_kernel[load_fails]",)),
+    Mutant("bench: the backend label ignores the grid", BENCH,
+           '"c" if compiled and kernels()', '"c" if kernels()',
+           ("tests/test_bench.py::test_a_grid_without_a_compiled_sort_is_pure_and_builds_nothing",)),
     Mutant("insertion: bisect_left", SORTS,
            "pos = bisect_right(data, key, 0, i - 1)",
            'pos = __import__("bisect").bisect_left(data, key, 0, i - 1)', INSERTION),

@@ -18,6 +18,7 @@ from arcsort import (
     run_benchmark,
     summarize,
 )
+from arcsort._compiled import kernels
 from backends import needs_cc, no_compiler
 
 TEMPLATE = DatasetSpec(distribution="uniform", n=0, seed=42)
@@ -161,6 +162,17 @@ def test_metadata_names_the_backend():
     assert small_report(algorithms=["bubble"], trials=1).meta.backend == "c"
     with no_compiler():
         assert small_report(algorithms=["bubble"], trials=1).meta.backend == "pure"
+
+
+@needs_cc
+def test_a_grid_without_a_compiled_sort_is_pure_and_builds_nothing(monkeypatch, tmp_path):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    kernels.cache_clear()
+    try:
+        assert small_report(algorithms=["arc", "selection"]).meta.backend == "pure"
+    finally:
+        kernels.cache_clear()  # the next call loads again, in the real environment
+    assert list(tmp_path.iterdir()) == []
 
 
 def _report_with_elapsed(elapsed_list):

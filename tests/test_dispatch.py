@@ -131,8 +131,8 @@ def test_bubble_falls_back_to_its_pure_kernel(fresh_loader, monkeypatch, tmp_pat
         assert bubble_sort(data, metrics) is data
         assert data == expected_sorted
         assert metrics == SortMetrics(comparisons=expected_cmp, swaps=expected_swaps)
-    if fault is build_fails:  # the temp file the build wrote to is gone
-        assert list((tmp_path / "cache" / "arcsort").iterdir()) == []
+    # a failed build or load leaves no file in the cache, so the next process builds again
+    assert [p for p in (tmp_path / "cache").rglob("*") if not p.is_dir()] == []
 
 
 @needs_cc
@@ -145,3 +145,19 @@ def test_build_is_cached_and_then_needs_no_compiler(fresh_loader, monkeypatch, t
     monkeypatch.setenv("PATH", str(built.parent))  # no cc there
     assert kernels() is not None
     assert list(built.parent.iterdir()) == [built]
+
+
+@needs_cc
+def test_a_cached_build_that_does_not_load_is_built_again(fresh_loader, monkeypatch, tmp_path):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "first"))
+    assert kernels() is not None
+    (built,) = (tmp_path / "first" / "arcsort").iterdir()
+    # junk at the keyed path of another cache: a path this process has not loaded
+    junk = tmp_path / "second" / "arcsort" / built.name
+    junk.parent.mkdir(parents=True)
+    junk.write_bytes(b"junk")
+    kernels.cache_clear()
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "second"))
+    assert kernels() is not None
+    assert list(junk.parent.iterdir()) == [junk]
+    assert junk.read_bytes().startswith(b"\x7fELF")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from contextlib import nullcontext
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -256,10 +257,12 @@ def test_bubble_equals_index_loop_reference(values):
 @example(values=[2, 1, 3])
 @settings(deadline=None, max_examples=200)
 @given(values=st.one_of(index_loop_inputs, dup_lists))
-def test_bubble_counts_follow_the_pass_and_swap_laws(values):
+@pytest.mark.parametrize("compiled", [False, pytest.param(True, marks=needs_cc)], ids=["pure", "c"])
+def test_bubble_counts_follow_the_pass_and_swap_laws(compiled, values):
     expected_cmp, expected_swaps = bubble_count_laws(values)
     metrics = SortMetrics()
-    with no_compiler():
+    with nullcontext() if compiled else no_compiler():
+        assert (kernels() is not None) is compiled
         bubble_sort(list(values), metrics)
     assert metrics == SortMetrics(comparisons=expected_cmp, swaps=expected_swaps)
 
