@@ -1,13 +1,16 @@
-/* Compiled twins of kernels in sorts.py, called through ctypes.
+/* Compiled twins of the sorts in sorts.py, called through ctypes.
  *
  * arcsort._compiled builds this file on first use with `cc -O2 -shared
  * -fPIC` and loads it; where it cannot, the pure-Python kernels run.
  * Every function here is void name(int64_t *a, int64_t n, int64_t *counts):
  * it sorts the n keys of a in place, leaving them as its pure twin does,
  * and stores the same counts, the comparisons in counts[0] and the swaps
- * in counts[1]. */
+ * in counts[1].  A function that cannot allocate its scratch space stores
+ * -1 in counts[0] and leaves a as it was. */
 
 #include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
 
 /* Bubble sort: the index loop of tests/oracles.py::reference_bubble
  * (Knuth, TAOCP vol. 3, 5.2.2).  Pass i compares a[j] > a[j + 1] for
@@ -32,6 +35,87 @@ void bubble_sort(int64_t *a, int64_t n, int64_t *counts)
         comparisons += limit;
         if (swaps == before)
             break;
+    }
+    counts[0] = comparisons;
+    counts[1] = swaps;
+}
+
+/* Straight max-selection (Knuth, TAOCP vol. 3, 5.2.3): the index loop of
+ * tests/oracles.py::max_select_recursive.  Each pass starts its
+ * candidate in the last slot, scans a[0..last-1] left to right, takes a
+ * key on `>=`, so the first occurrence of the maximum wins, and swaps
+ * only when the slot moved.  Every one of the n(n-1)/2 comparisons
+ * runs; the swaps are returned. */
+static int64_t max_select(int64_t *a, int64_t n)
+{
+    int64_t swaps = 0;
+    for (int64_t last = n - 1; last > 0; last--) {
+        int64_t best = last, x = a[last];
+        for (int64_t i = 0; i < last; i++) {
+            if (a[i] >= x) {
+                x = a[i];
+                best = i;
+            }
+        }
+        if (best != last) {
+            a[best] = a[last];
+            a[last] = x;
+            swaps++;
+        }
+    }
+    return swaps;
+}
+
+#define MAX_DIGITS 19 /* decimal digits of INT64_MAX */
+
+/* The bucket of x, as sorts.count_digits files it: 0 for x <= 0, else the
+ * number of powers of ten that are <= x, which is its digit count. */
+static int digit_class(int64_t x)
+{
+    static const int64_t pow10[MAX_DIGITS] = {
+        1, 10, 100, 1000, 10000, 100000, 1000000, 10000000, 100000000,
+        1000000000, 10000000000, 100000000000, 1000000000000,
+        10000000000000, 100000000000000, 1000000000000000,
+        10000000000000000, 100000000000000000, 1000000000000000000,
+    };
+    int b = 0;
+    while (b < MAX_DIGITS && x >= pow10[b])
+        b++;
+    return b;
+}
+
+/* arcsort: scatter the keys into digit-class buckets by counting, stably,
+ * so each bucket holds its keys in arrival order as sorts.distribute
+ * does; max-select every bucket of two keys or more; the buckets, in
+ * order, are the sorted keys.  Comparisons are the sum of c(c-1)/2 over
+ * the bucket sizes c. */
+void arc_sort(int64_t *a, int64_t n, int64_t *counts)
+{
+    /* start[b + 1] counts bucket b; the prefix sums then make start[b] where b begins */
+    int64_t start[MAX_DIGITS + 2] = {0};
+    int64_t comparisons = 0, swaps = 0;
+    if (n > 1) {
+        int64_t *out = malloc((size_t)n * sizeof *out);
+        if (out == NULL) {
+            counts[0] = -1;
+            return;
+        }
+        for (int64_t i = 0; i < n; i++)
+            start[digit_class(a[i]) + 1]++;
+        for (int b = 0; b <= MAX_DIGITS; b++) {
+            int64_t c = start[b + 1];
+            comparisons += c * (c - 1) / 2;
+            start[b + 1] += start[b];
+        }
+        for (int64_t i = 0; i < n; i++)
+            out[start[digit_class(a[i])]++] = a[i];
+        int64_t begin = 0; /* start[b] is now where bucket b ends */
+        for (int b = 0; b <= MAX_DIGITS; b++) {
+            swaps += max_select(out + begin, start[b] - begin);
+            begin = start[b];
+        }
+        memcpy(a, out, (size_t)n * sizeof *out);
+        free(out);
     }
     counts[0] = comparisons;
     counts[1] = swaps;

@@ -12,6 +12,7 @@ import os
 from collections.abc import MutableSequence
 from functools import cache
 
+from . import sorts
 from .sorts import SortMetrics
 
 # how _ckernels.c is built; part of the cached library's name
@@ -58,8 +59,11 @@ def kernels():
                 os.replace(built, path)
     except OSError:  # FileNotFoundError too, where no cc is on PATH
         return None
-    lib.bubble_sort.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p)
-    lib.bubble_sort.restype = None
+    for sort in vars(sorts).values():  # not sorts.ALGORITHMS, which a caller may change
+        if getattr(sort, "compiled", False):  # its twin is the C function of the same name
+            twin = getattr(lib, sort.__name__)
+            twin.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p)
+            twin.restype = None
     return lib
 
 
@@ -68,7 +72,8 @@ def run(name: str, data: MutableSequence[int], metrics: SortMetrics) -> bool:
     its comparisons and swaps to ``metrics``; False, touching nothing, if none loads.
 
     The keys must have passed ``sorts.check_keys``: ``array('q')`` would
-    take a bool as 1.
+    take a bool as 1.  A kernel that cannot allocate its scratch space
+    raises :class:`MemoryError`, with ``data`` and ``metrics`` untouched.
     """
     lib = kernels()
     if lib is None:
@@ -78,6 +83,8 @@ def run(name: str, data: MutableSequence[int], metrics: SortMetrics) -> bool:
     keys = array("q", data)
     counts = array("q", (0, 0))
     getattr(lib, name)(keys.buffer_info()[0], len(keys), counts.buffer_info()[0])
+    if counts[0] < 0:
+        raise MemoryError(f"{name} could not allocate scratch space for {len(keys)} keys")
     if isinstance(data, list):
         data[:] = keys.tolist()
     else:  # a deque, say, takes no slice

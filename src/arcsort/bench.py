@@ -116,6 +116,10 @@ def run_benchmark(
     if warmup < 0:
         raise BenchmarkError(f"warmup must be >= 0, got {warmup}")
 
+    # a compiled twin is built or loaded here, not inside the first timed
+    # sort; getattr, because ALGORITHMS may hold any callable
+    compiled = any(getattr(ALGORITHMS[a], "compiled", False) for a in names)
+    lib = kernels() if compiled else None
     # per size, shared by every algorithm
     seeds = {n: [derive_seed(spec_template.seed, n, t) for t in range(trials)] for n in sizes}
     datasets = {n: [generate(replace(spec_template, n=n, seed=s)) for s in seeds[n]] for n in sizes}
@@ -139,7 +143,6 @@ def run_benchmark(
                 )
     rows.sort(key=lambda row: names.index(row.algorithm))  # stable: (algorithm, n, trial)
 
-    compiled = any(getattr(ALGORITHMS[a], "compiled", False) for a in names)  # arc_sort has none
     meta = ReportMeta(
         prng=PRNG_NAME,
         seed=spec_template.seed,
@@ -148,7 +151,7 @@ def run_benchmark(
         clock=CLOCK_NAME,
         warmup=warmup,
         trials=trials,
-        backend="c" if compiled and kernels() is not None else "pure",
+        backend="pure" if lib is None else "c",
     )
     return BenchmarkReport(meta, rows)
 

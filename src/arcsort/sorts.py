@@ -34,13 +34,19 @@ Every sort first applies the key rule of :func:`check_keys`, once per
 call: a non-int key with ``__index__`` is replaced by its int, and a
 ``bool``, any other key or a key outside int64 raises before the first
 pass, naming the first such key in input order.  Only :func:`_public`,
-which makes each in-place sort from its kernel, kept as ``.kernel``, and
-:func:`distribute`, for ``arc_sort``, call it.
+which makes each in-place sort from its kernel, kept as ``.kernel``,
+``arc_sort`` and :func:`distribute` call it.
 
-Bubble sort alone also has a compiled twin, the index loop itself in
-``_ckernels.c``.  Its public sort runs that twin whenever
-:mod:`arcsort._compiled` can build and load it, and its pure kernel
-otherwise.
+``arc_sort`` and bubble sort also have a compiled twin in
+``_ckernels.c``: the whole bucketed sort as one call, and bubble's index
+loop.  Each public sort says whether it has one in ``.compiled``, runs
+it whenever :mod:`arcsort._compiled` can build and load it, and runs its
+pure path otherwise.  The public ``enhanced_selection_sort`` and
+``selection_sort`` stay pure.  Compiled, they would let the benchmark's
+``oracle-mix`` workload run about 1.5 times as many cycles; that
+workload keeps the counts of every sort it runs and reads few of them
+back (``Context.seen`` in ``perfbench/workloads.py``), so its
+``peak_rss_mb`` would grow past its bound.
 """
 
 from __future__ import annotations
@@ -334,6 +340,11 @@ def distribute(values: Iterable[int]) -> BucketTable:
     """
     keys = list(values)
     check_keys(keys)
+    return _scatter(keys)
+
+
+def _scatter(keys: list[int]) -> BucketTable:
+    """:func:`distribute` of keys that have passed :func:`check_keys`."""
     buckets: list[list[int]] = [[] for _ in range(MAX_DIGITS + 1)]
     for x in keys:
         buckets[count_digits(x)].append(x)
@@ -355,14 +366,26 @@ def arc_sort(data: Sequence[int], metrics: SortMetrics | None = None) -> list[in
     empty buckets are skipped outright), and concatenates in bucket order.
     Metrics accumulate across the per-bucket sorts, so total comparisons
     equal the sum of c(c-1)/2 over bucket occupancies c.  The keys are
-    checked once, by :func:`distribute`, so each bucket runs the sort's kernel.
+    copied and checked once; then the whole sort is one call of its twin
+    ``arc_sort`` in ``_ckernels.c`` whenever :mod:`arcsort._compiled`
+    loads it.  Otherwise the checked keys are scattered as by
+    :func:`distribute` and each bucket runs the enhanced selection kernel.
     """
     metrics = SortMetrics() if metrics is None else metrics
-    table = distribute(data)
+    keys = list(data)
+    check_keys(keys)
+    from ._compiled import run  # imported by the first call, not at launch
+
+    if run("arc_sort", keys, metrics):
+        return keys
+    table = _scatter(keys)
     for bucket in table.buckets:
         if len(bucket) > 1:
             enhanced_selection_sort.kernel(bucket, metrics)
     return concatenate(table)
+
+
+arc_sort.compiled = True
 
 
 # name -> the public sort: callable(buffer, metrics) -> sorted list.  The

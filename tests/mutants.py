@@ -3,8 +3,8 @@
 Each sort has one definition, so the index loops in ``tests/oracles.py``
 and the tests built on them are the only guard on it.  This script shows
 that they catch plausible slips in the kernels, the bucketing, the key
-rule and the CLI's integer parser, in the compiled bubble sort of
-``_ckernels.c`` with its write-back, and in the loader and the bench
+rule and the CLI's integer parser, in the compiled bubble and arc sorts
+of ``_ckernels.c`` with their write-back, and in the loader and the bench
 label that choose the backend.  Each mutant is one exact text in
 one file, replaced by another, and the tests that must fail.  For each
 mutant, the script copies ``src/``, ``tests/`` and ``pyproject.toml`` to
@@ -56,6 +56,7 @@ COMPILED_BUBBLE = (
     f"{PROPS}::test_compiled_bubble_equals_index_loop_reference",
     f"{PROPS}::test_compiled_bubble_is_the_index_loop_at_oracle_mix_sizes",
 )
+COMPILED_ARC = ("tests/test_dispatch.py::test_both_backends_equal_the_index_loop[c-arc_sort]",)
 
 
 class Mutant(NamedTuple):
@@ -108,14 +109,27 @@ MUTANTS = [
            "if (swaps == before)\n            break;", "", COMPILED_BUBBLE),
     Mutant("compiled bubble: a pass one comparison short", CKERNELS,
            "j < limit;", "j + 1 < limit;", COMPILED_BUBBLE),
+    Mutant("compiled arc: a power of ten filed with the keys below it", CKERNELS,
+           "x >= pow10[b]", "x > pow10[b]", COMPILED_ARC),
+    Mutant("compiled arc: max-select takes a tie on >", CKERNELS,
+           "if (a[i] >= x) {", "if (a[i] > x) {", COMPILED_ARC),
+    Mutant("compiled arc: scatter reverses each bucket's arrival order", CKERNELS,
+           "for (int64_t i = 0; i < n; i++)\n            out[",
+           "for (int64_t i = n - 1; i >= 0; i--)\n            out[", COMPILED_ARC),
+    Mutant("compiled arc: a swap counted when the slot did not move", CKERNELS,
+           "            swaps++;\n        }\n    }\n    return swaps;",
+           "        }\n        swaps++;\n    }\n    return swaps;", COMPILED_ARC),
+    Mutant("compiled arc: a failed allocation falls back to the pure path", COMPILED,
+           "        raise MemoryError(", "        return False\n        raise MemoryError(",
+           ("tests/test_dispatch.py::test_a_failed_allocation_raises_memory_error_and_sorts_nothing",)),
     Mutant("compiled bubble: the last key not written back", COMPILED,
            "data[:] = keys.tolist()", "data[:-1] = keys.tolist()[:-1]", COMPILED_BUBBLE),
     Mutant("loader: a fresh build published before it loads", COMPILED,
            "lib = ctypes.CDLL(built)\n                os.replace(built, path)",
            "os.replace(built, path)\n                lib = ctypes.CDLL(path)",
-           ("tests/test_dispatch.py::test_bubble_falls_back_to_its_pure_kernel[load_fails]",)),
+           ("tests/test_dispatch.py::test_compiled_sorts_fall_back_to_their_pure_paths[load_fails]",)),
     Mutant("bench: the backend label ignores the grid", BENCH,
-           '"c" if compiled and kernels()', '"c" if kernels()',
+           "lib = kernels() if compiled else None", "lib = kernels()",
            ("tests/test_bench.py::test_a_grid_without_a_compiled_sort_is_pure_and_builds_nothing",)),
     Mutant("insertion: bisect_left", SORTS,
            "pos = bisect_right(data, key, 0, i - 1)",

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 import arcsort.bench as bench
 from arcsort import (
+    ALGORITHMS,
     BenchmarkError,
     BenchmarkReport,
     DatasetSpec,
@@ -169,10 +172,26 @@ def test_a_grid_without_a_compiled_sort_is_pure_and_builds_nothing(monkeypatch, 
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     kernels.cache_clear()
     try:
-        assert small_report(algorithms=["arc", "selection"]).meta.backend == "pure"
+        assert small_report(algorithms=["selection", "insertion"]).meta.backend == "pure"
     finally:
         kernels.cache_clear()  # the next call loads again, in the real environment
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("name", [name for name, sort in ALGORITHMS.items() if sort.compiled])
+def test_no_timed_sort_pays_for_loading_the_kernels(monkeypatch, name):
+    # with no warm-up, the first timed sort would otherwise build or load the library
+    loaded = []  # at each clock read: has kernels() run yet?
+    clock = bench.time.perf_counter_ns
+
+    def read_clock():
+        loaded.append(kernels.cache_info().currsize == 1)
+        return clock()
+
+    monkeypatch.setattr(bench, "time", SimpleNamespace(perf_counter_ns=read_clock))
+    kernels.cache_clear()
+    small_report(algorithms=[name], sizes=[8], trials=1, warmup=0)
+    assert loaded == [True, True]
 
 
 def _report_with_elapsed(elapsed_list):

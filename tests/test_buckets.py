@@ -22,6 +22,7 @@ from arcsort import (
     insertion_sort,
     selection_sort,
 )
+from backends import pure
 
 GOLDEN_INPUT = [349, 34, -72, 22, 14, -1]
 GOLDEN_OUTPUT = [-72, -1, 14, 22, 34, 349]
@@ -183,7 +184,8 @@ def test_arc_sort_index_keys_keep_the_int64_range():
 
 
 def test_arc_sort_checks_keys_once(monkeypatch):
-    # distribute applies the key rule; the per-bucket sorts must not repeat it
+    # arc_sort applies the key rule once, on both backends; the per-bucket
+    # sorts of the pure path must not repeat it
     check_keys = sorts.check_keys
     calls = []
 
@@ -192,8 +194,10 @@ def test_arc_sort_checks_keys_once(monkeypatch):
         check_keys(data)
 
     monkeypatch.setattr(sorts, "check_keys", counted)
-    assert arc_sort(GOLDEN_INPUT) == GOLDEN_OUTPUT
-    assert calls == [GOLDEN_INPUT]  # two buckets of GOLDEN_INPUT hold two keys or more
+    for run in (arc_sort, pure(arc_sort)):
+        calls.clear()
+        assert run(GOLDEN_INPUT) == GOLDEN_OUTPUT
+        assert calls == [GOLDEN_INPUT]  # two buckets of GOLDEN_INPUT hold two keys or more
     for sort in IN_PLACE.values():
         calls.clear()
         assert sort([2, 1]) == [1, 2]

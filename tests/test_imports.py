@@ -12,14 +12,16 @@ import pytest
 import arcsort
 from arcsort import bench, datagen, sorts
 from arcsort.cli import main
+from backends import needs_cc
 
 SRC = str(Path(arcsort.__file__).resolve().parent.parent)
 DEFINING_MODULES = [sorts, datagen, bench]
 
 # Modules the sort path has no use for: bench and datagen with the heavy
 # standard library they pull in, the argparse front end with what it loads,
-# ctypes, which only a bubble sort needs, to load the compiled kernels, and
-# hashlib, whose OpenSSL would add 3.7 MB to every process that loads it.
+# ctypes, which only a sort with a compiled twin needs, to load the compiled
+# kernels, and hashlib, whose OpenSSL would add 3.7 MB to every process that
+# loads it.
 NOT_ON_SORT_PATH = {
     "arcsort.bench",
     "arcsort.datagen",
@@ -62,7 +64,7 @@ def sort_loads_off_path(*args: str, stdin: bytes = b"") -> set[str]:
 
 
 def test_sort_command_loads_only_the_sort_path():
-    assert sort_loads_off_path("--algo", "arc", "-", stdin=b"349\n34\n-72\n") == set()
+    assert sort_loads_off_path("--algo", "selection", "-", stdin=b"349\n34\n-72\n") == set()
 
 
 def test_sort_of_a_file_with_metrics_loads_only_the_sort_path(tmp_path):
@@ -72,9 +74,21 @@ def test_sort_of_a_file_with_metrics_loads_only_the_sort_path(tmp_path):
 
 
 def test_sort_command_loads_three_package_modules():
-    loaded = imported("-m", "arcsort", "sort", "--algo", "arc", "-", stdin=b"349\n34\n-72\n")
+    loaded = imported("-m", "arcsort", "sort", "--algo", "selection", "-", stdin=b"349\n34\n-72\n")
     package = {m for m in loaded if m == "arcsort" or m.startswith("arcsort.")}
     assert package == {"arcsort", "arcsort.cli", "arcsort.sorts"}
+
+
+@needs_cc  # without a library to call, the sort never imports array
+@pytest.mark.parametrize("algo", [name for name, sort in arcsort.ALGORITHMS.items() if sort.compiled])
+def test_a_compiled_sort_command_also_loads_the_loader(algo):
+    # the loader, ctypes and array, and still no hashlib, argparse, bench or datagen
+    stdin = b"349\n34\n-72\n"
+    assert sort_loads_off_path("--algo", algo, "-", stdin=stdin) == {"ctypes"}
+    loaded = imported("-m", "arcsort", "sort", "--algo", algo, "-", stdin=stdin)
+    package = {m for m in loaded if m == "arcsort" or m.startswith("arcsort.")}
+    assert package == {"arcsort", "arcsort.cli", "arcsort.sorts", "arcsort._compiled"}
+    assert "array" in loaded
 
 
 def test_cli_module_run_as_a_script_only_imports_itself():

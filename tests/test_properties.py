@@ -25,7 +25,7 @@ from arcsort import (
 from arcsort.bench import ALGORITHMS
 from arcsort._compiled import kernels
 from arcsort.sorts import _BLOCK
-from backends import needs_cc, no_compiler
+from backends import COMPILED, needs_cc, no_compiler, pure
 from oracles import (
     bubble_count_laws,
     pair_comparisons,
@@ -357,6 +357,7 @@ def test_keys_have_one_order_of_rejection(values):
     # every entry point names the first bad key in input order, the same way
     first = next(x for x in values if type(x) is not int or not -(2**63) <= x < 2**63)
     seen = {name: rejection(run, values) for name, run in ALGORITHMS.items()}
+    seen.update((f"{sort.__name__} pure", rejection(pure(sort), values)) for sort in COMPILED)
     seen["distribute"] = rejection(distribute, values)
     assert len(set(seen.values())) == 1, seen
     assert seen["distribute"][1].startswith(f"{first!r} "), seen

@@ -22,11 +22,11 @@ from arcsort import (
     insertion_sort,
     selection_sort,
 )
-from backends import bubble_sort_pure
+from backends import pure
 
 ALL_SORTS = [enhanced_selection_sort, selection_sort, insertion_sort, bubble_sort]
-# bubble_sort runs compiled where a compiler is found, so its pure kernel runs too
-BOTH_PATHS = [*ALL_SORTS, bubble_sort_pure]
+# a sort with a compiled twin runs it where a compiler is found, so its pure kernel runs too
+BOTH_PATHS = [*ALL_SORTS, *(pure(sort) for sort in ALL_SORTS if sort.compiled)]
 
 
 def run(sort, values):
