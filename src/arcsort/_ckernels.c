@@ -43,8 +43,8 @@ void bubble_sort(int64_t *a, int64_t n, int64_t *counts)
 /* Straight max-selection (Knuth, TAOCP vol. 3, 5.2.3): the index loop of
  * tests/oracles.py::max_select_recursive.  Each pass starts its
  * candidate in the last slot, scans a[0..last-1] left to right, takes a
- * key on `>=`, so the first occurrence of the maximum wins, and swaps
- * only when the slot moved.  Every one of the n(n-1)/2 comparisons
+ * key on `>=`, so the last occurrence of the maximum there wins, and
+ * swaps only when the slot moved.  Every one of the n(n-1)/2 comparisons
  * runs; the swaps are returned. */
 static int64_t max_select(int64_t *a, int64_t n)
 {

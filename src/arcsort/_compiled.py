@@ -11,9 +11,10 @@ from __future__ import annotations
 import os
 from collections.abc import MutableSequence
 from functools import cache
+from typing import TYPE_CHECKING
 
-from . import sorts
-from .sorts import SortMetrics
+if TYPE_CHECKING:  # for the annotations only; sorts imports this module, not the reverse
+    from .sorts import SortMetrics
 
 # how _ckernels.c is built; part of the cached library's name
 _CFLAGS = ("-O2", "-shared", "-fPIC")
@@ -39,9 +40,10 @@ def kernels():
     try:
         with open(source, "rb") as f:
             key = crc32(f.read() + b"\0" + " ".join(_CFLAGS).encode())
-        cache_dir = os.path.join(
-            os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache"), "arcsort"
-        )
+        cache_home = os.environ.get("XDG_CACHE_HOME", "")
+        if not os.path.isabs(cache_home):  # unset, empty or relative: the XDG spec ignores it
+            cache_home = os.path.expanduser("~/.cache")
+        cache_dir = os.path.join(cache_home, "arcsort")
         path = os.path.join(cache_dir, f"_ckernels-{key:08x}.so")
         try:
             lib = ctypes.CDLL(path)
@@ -59,11 +61,6 @@ def kernels():
                 os.replace(built, path)
     except OSError:  # FileNotFoundError too, where no cc is on PATH
         return None
-    for sort in vars(sorts).values():  # not sorts.ALGORITHMS, which a caller may change
-        if getattr(sort, "compiled", False):  # its twin is the C function of the same name
-            twin = getattr(lib, sort.__name__)
-            twin.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p)
-            twin.restype = None
     return lib
 
 
@@ -79,10 +76,13 @@ def run(name: str, data: MutableSequence[int], metrics: SortMetrics) -> bool:
     if lib is None:
         return False
     from array import array
+    from ctypes import c_int64, c_void_p
 
+    kernel = getattr(lib, name)  # void name(int64_t *a, int64_t n, int64_t *counts), as all are
+    kernel.argtypes, kernel.restype = (c_void_p, c_int64, c_void_p), None
     keys = array("q", data)
     counts = array("q", (0, 0))
-    getattr(lib, name)(keys.buffer_info()[0], len(keys), counts.buffer_info()[0])
+    kernel(keys.buffer_info()[0], len(keys), counts.buffer_info()[0])
     if counts[0] < 0:
         raise MemoryError(f"{name} could not allocate scratch space for {len(keys)} keys")
     if isinstance(data, list):

@@ -14,7 +14,7 @@ a cache directory of their own, where each C mutant is built once.  The
 unmutated copy must pass the same tests first.  An old text that does not occur
 exactly once is an error, so a refactor that makes a mutant stale fails
 loudly instead of passing vacuously; ``tests/test_mutants.py`` applies
-the same rule in tier-1.
+the same rule in tier-1, and checks there that every named test exists.
 
 Run it from the root of the repository; it exits 0 only if every mutant
 is killed:
@@ -53,10 +53,10 @@ BUBBLE = (
 )
 INSERTION = (f"{PROPS}::test_insertion_equals_index_loop_reference",)
 COMPILED_BUBBLE = (
-    f"{PROPS}::test_compiled_bubble_equals_index_loop_reference",
-    f"{PROPS}::test_compiled_bubble_is_the_index_loop_at_oracle_mix_sizes",
+    f"{PROPS}::test_every_backend_equals_the_index_loop[bubble_sort]",
+    f"{PROPS}::test_every_backend_equals_the_index_loop_at_oracle_mix_sizes[turtle-512-bubble_sort]",
 )
-COMPILED_ARC = ("tests/test_dispatch.py::test_both_backends_equal_the_index_loop[c-arc_sort]",)
+COMPILED_ARC = (f"{PROPS}::test_every_backend_equals_the_index_loop[arc_sort]",)
 
 
 class Mutant(NamedTuple):
@@ -149,7 +149,7 @@ MUTANTS = [
             "tests/test_buckets.py::test_arc_sort_rejects_non_integer_keys")),
     Mutant("arc_sort: buckets sorted by the public sort, keys checked again", SORTS,
            "enhanced_selection_sort.kernel(bucket, metrics)", "enhanced_selection_sort(bucket, metrics)",
-           ("tests/test_buckets.py::test_arc_sort_checks_keys_once",)),
+           ("tests/test_sorts.py::test_classic_sorts_check_keys_once[arc_sort_pure]",)),
     Mutant("_read_lines: values cut to 19 digits", CLI,
            "digits[:20]", "digits[:19]",
            ("tests/test_cli.py::test_sort_very_long_value_is_out_of_range_and_not_printed",)),

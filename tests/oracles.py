@@ -85,6 +85,16 @@ def reference_insertion(values: list[int]) -> tuple[list[int], int, int]:
     return data, comparisons, writes
 
 
+def insertion_comparisons(values: list[int]) -> int:
+    """Comparisons of index-loop insertion from the input alone: a shift for
+    each earlier value strictly greater than the key, plus the test that
+    stopped the scan, made unless every earlier value is greater."""
+    return sum(
+        sum(x > y for x in values[:j]) + any(x <= y for x in values[:j])
+        for j, y in enumerate(values)
+    )
+
+
 def reference_bubble(
     values: list[int], passes: list[list[int]] | None = None
 ) -> tuple[list[int], int, int]:

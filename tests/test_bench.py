@@ -162,9 +162,10 @@ def test_metadata_records_run_parameters():
 
 @needs_cc
 def test_metadata_names_the_backend():
-    assert small_report(algorithms=["bubble"], trials=1).meta.backend == "c"
+    compiled = [next(name for name, sort in ALGORITHMS.items() if sort.compiled)]
+    assert small_report(algorithms=compiled, trials=1).meta.backend == "c"
     with no_compiler():
-        assert small_report(algorithms=["bubble"], trials=1).meta.backend == "pure"
+        assert small_report(algorithms=compiled, trials=1).meta.backend == "pure"
 
 
 @needs_cc
@@ -172,7 +173,8 @@ def test_a_grid_without_a_compiled_sort_is_pure_and_builds_nothing(monkeypatch, 
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     kernels.cache_clear()
     try:
-        assert small_report(algorithms=["selection", "insertion"]).meta.backend == "pure"
+        pure = [name for name, sort in ALGORITHMS.items() if not sort.compiled]
+        assert small_report(algorithms=pure).meta.backend == "pure"
     finally:
         kernels.cache_clear()  # the next call loads again, in the real environment
     assert list(tmp_path.iterdir()) == []

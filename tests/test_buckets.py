@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import enum
 import re
 from fractions import Fraction
 
 import pytest
 
-from arcsort import sorts
 from arcsort import (
     ALGORITHMS,
     BucketTable,
@@ -22,7 +20,7 @@ from arcsort import (
     insertion_sort,
     selection_sort,
 )
-from backends import pure
+from backends import Digits, Index
 
 GOLDEN_INPUT = [349, 34, -72, 22, 14, -1]
 GOLDEN_OUTPUT = [-72, -1, 14, 22, 34, 349]
@@ -121,12 +119,6 @@ def test_distribute_rejects_keys_outside_int64(value):
         distribute([5, value, -3])
 
 
-@pytest.mark.parametrize("value", [2**63, 10**19, -(2**63) - 1])
-def test_arc_sort_rejects_keys_outside_int64(value):
-    with pytest.raises(OverflowError, match=str(value)):
-        arc_sort([1, value])
-
-
 def test_distribute_accepts_int64_bounds():
     table = distribute([2**63 - 1, -(2**63)])
     assert table.buckets[0] == [-(2**63)]
@@ -150,58 +142,10 @@ def test_arc_sort_rejects_non_integer_keys(values, bad):
         distribute(values)
 
 
-class Digits(enum.IntEnum):
-    TWELVE = 12
-
-
-class Index:
-    """An integer-like key that is not an int: it has ``__index__`` only."""
-
-    def __init__(self, value: int):
-        self.value = value
-
-    def __index__(self) -> int:
-        return self.value
-
-
 def test_distribute_converts_index_keys_to_int():
     table = distribute([Digits.TWELVE, Index(-4), Index(345), 7])
     assert table.buckets == [[-4], [7], [12], [345]]
     assert all(type(v) is int for bucket in table.buckets for v in bucket)
-
-
-def test_arc_sort_accepts_index_keys():
-    metrics = SortMetrics()
-    out = arc_sort([Index(30), Digits.TWELVE, Index(-1), 5], metrics)
-    assert out == [-1, 5, 12, 30]
-    assert all(type(v) is int for v in out)
-    assert metrics == SortMetrics(comparisons=1, swaps=1)
-
-
-def test_arc_sort_index_keys_keep_the_int64_range():
-    with pytest.raises(OverflowError, match=str(2**63)):
-        arc_sort([Index(2**63), 1])
-
-
-def test_arc_sort_checks_keys_once(monkeypatch):
-    # arc_sort applies the key rule once, on both backends; the per-bucket
-    # sorts of the pure path must not repeat it
-    check_keys = sorts.check_keys
-    calls = []
-
-    def counted(data):
-        calls.append(list(data))
-        check_keys(data)
-
-    monkeypatch.setattr(sorts, "check_keys", counted)
-    for run in (arc_sort, pure(arc_sort)):
-        calls.clear()
-        assert run(GOLDEN_INPUT) == GOLDEN_OUTPUT
-        assert calls == [GOLDEN_INPUT]  # two buckets of GOLDEN_INPUT hold two keys or more
-    for sort in IN_PLACE.values():
-        calls.clear()
-        assert sort([2, 1]) == [1, 2]
-        assert calls == [[2, 1]], sort.__name__
 
 
 IN_PLACE = {

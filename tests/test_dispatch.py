@@ -1,46 +1,34 @@
-"""The calling contract that all five sort entry points share.
+"""The calling contract of every sort, on every backend it has, and the loader.
 
-Each entry point has one definition, so it is checked directly: the
-result equals ``sorted()``, counts add onto whatever the accumulator
-already holds, ``metrics=None`` works, ``arc_sort`` leaves its input
-alone, and every result value is a plain ``int``.  The sorts of
-``backends.COMPILED`` also have a compiled twin: each backend gives the
-output and counts of the sort's index loop, and where the twin cannot be
-built or loaded, the pure path runs.
+Each test of a per-sort contract runs over ``backends.PARAMS``, every
+sort on its pure path and, where ``.compiled`` is set, on its C twin, and
+reads what the sort must do from ``backends.CONTRACTS``.  Here: the result
+and the counts are those of the sort's index loop, counts add onto
+whatever the accumulator already holds, an in-place sort returns its data
+and ``arc_sort`` leaves its input alone, every result value is a plain
+``int``, and where the twin cannot be built or loaded, the pure path
+runs.  The loader builds once, caches the build in the user cache
+directory (never one relative to the working directory) and reuses it.
 """
 
 from __future__ import annotations
 
-import ctypes
 import os
 import random
 import subprocess
 import sys
 from array import array
-from collections import deque
+from ctypes import c_int64, c_void_p
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
 
 import arcsort
-from arcsort import (
-    SortMetrics,
-    arc_sort,
-    bubble_sort,
-    enhanced_selection_sort,
-    insertion_sort,
-    selection_sort,
-)
+from arcsort import ALGORITHMS, SortMetrics, arc_sort
 from arcsort import _compiled
 from arcsort._compiled import kernels
-from arcsort.sorts import INT64_MAX, INT64_MIN
-from backends import BACKENDS, COMPILED, ORACLES, needs_cc, on
-from oracles import bubble_count_laws, pair_comparisons, reference_buckets
-
-ENTRY_POINTS = [enhanced_selection_sort, selection_sort, insertion_sort, bubble_sort, arc_sort]
-IDS = [fn.__name__ for fn in ENTRY_POINTS]
+from backends import PARAMS, assert_is_the_index_loop, needs_cc, on
 
 _rng = random.Random(20140609)
 INPUTS = [
@@ -56,31 +44,12 @@ INPUTS = [
 ]
 
 
-def sort_copy(fn, values, metrics=None):
-    """Sort a copy of ``values``; return the result and the copy afterwards."""
-    data = list(values)
-    out = fn(data, metrics)
-    return (data if out is None else out), data
-
-
-# Each in-place entry point wraps the pure-Python body it holds as ``.kernel``:
-# the wrapper checks the keys, defaults the metrics and returns the data.
-@pytest.mark.parametrize("fn", ENTRY_POINTS, ids=IDS)
+# Each public sort checks the keys, defaults the metrics and runs its pure
+# kernel or its C twin; on either backend it is the sort's index loop.
+@pytest.mark.parametrize("backend, name", PARAMS)
 @pytest.mark.parametrize("values", INPUTS, ids=lambda v: f"n{len(v)}")
-def test_wrapper_equals_pure_path(fn, values):
-    fresh = SortMetrics()
-    result, data = sort_copy(fn, values, fresh)
-    assert result == sorted(values)
-    assert all(type(v) is int for v in result)
-    if fn is arc_sort:
-        assert data == values
-
-    # counts accumulate onto whatever the accumulator already holds
-    held = SortMetrics(1, 2, 3)
-    assert sort_copy(fn, values, held)[0] == result
-    assert held == SortMetrics(1 + fresh.comparisons, 2 + fresh.swaps, 3 + fresh.writes)
-
-    assert sort_copy(fn, values)[0] == result  # metrics=None
+def test_wrapper_equals_pure_path(backend, name, values):
+    assert_is_the_index_loop(on(backend, name), name, values)
 
 
 def test_import_leaves_numpy_unloaded():
@@ -132,14 +101,23 @@ def test_compiled_sorts_fall_back_to_their_pure_paths(fresh_loader, monkeypatch,
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     fault(tmp_path, monkeypatch)
     assert kernels() is None
-    for sort in COMPILED:
+    for name, sort in ALGORITHMS.items():
         for values in INPUTS:
-            expected_sorted, expected_cmp, expected_swaps = ORACLES[sort.__name__](values)
-            metrics = SortMetrics()
-            assert sort(list(values), metrics) == expected_sorted, sort.__name__
-            assert metrics == SortMetrics(comparisons=expected_cmp, swaps=expected_swaps)
+            assert_is_the_index_loop(sort, name, values)
     # a failed build or load leaves no file in the cache, so the next process builds again
     assert [p for p in (tmp_path / "cache").rglob("*") if not p.is_dir()] == []
+
+
+@needs_cc
+def test_a_relative_cache_home_is_ignored(fresh_loader, monkeypatch, tmp_path):
+    # as the XDG spec asks: else each working directory would get a cache, and a build
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    monkeypatch.setenv("XDG_CACHE_HOME", "relcache")
+    monkeypatch.chdir(tmp_path)
+    assert kernels() is not None
+    assert [p.name for p in tmp_path.iterdir()] == ["home"]
+    (built,) = (tmp_path / "home" / ".cache" / "arcsort").iterdir()
+    assert built.name.startswith("_ckernels-")
 
 
 @needs_cc
@@ -170,84 +148,18 @@ def test_a_cached_build_that_does_not_load_is_built_again(fresh_loader, monkeypa
     assert junk.read_bytes().startswith(b"\x7fELF")
 
 
-NAMES = [sort.__name__ for sort in COMPILED]
-# both sides of every digit-class boundary, 0 | 1 to 10**18 - 1 | 10**18, the
-# int64 ends and -1
-DIGIT_EDGES = [k for d in range(19) for k in (10**d - 1, 10**d)] + [INT64_MAX, INT64_MIN, -1]
-edge_lists = st.lists(
-    st.one_of(st.sampled_from(DIGIT_EDGES), st.integers(min_value=-3, max_value=3),
-              st.integers(min_value=INT64_MIN, max_value=INT64_MAX)),
-    max_size=64,
-)
-
-
-@pytest.mark.parametrize("sort", COMPILED, ids=NAMES)
-@pytest.mark.parametrize("backend", BACKENDS)
-@example(values=DIGIT_EDGES)
-@example(values=DIGIT_EDGES[::-1] * 2)
-@settings(deadline=None, max_examples=150)
-@given(values=edge_lists)
-def test_both_backends_equal_the_index_loop(backend, sort, values):
-    expected_sorted, expected_cmp, expected_swaps = ORACLES[sort.__name__](values)
-    data = list(values)
-    metrics = SortMetrics(comparisons=7, swaps=5, writes=3)
-    assert on(backend, sort)(data, metrics) == expected_sorted
-    assert metrics == SortMetrics(comparisons=7 + expected_cmp, swaps=5 + expected_swaps, writes=3)
-    if sort is arc_sort:
-        assert data == values
-
-
-# each compiled sort's name -> its comparisons, from its input alone
-COMPARISON_LAWS = {
-    "arc_sort": lambda values: sum(
-        pair_comparisons(len(b)) for b in reference_buckets(values).values()
-    ),
-    "bubble_sort": lambda values: bubble_count_laws(values)[0],
-}
-
-
-@pytest.mark.parametrize("sort", COMPILED, ids=NAMES)
-@pytest.mark.parametrize("backend", BACKENDS)
-@settings(deadline=None, max_examples=100)
-@given(values=st.lists(st.integers(min_value=-(10**6), max_value=10**6), max_size=200))
-def test_both_backends_follow_the_comparison_law(backend, sort, values):
-    metrics = SortMetrics()
-    on(backend, sort)(list(values), metrics)
-    assert metrics.comparisons == COMPARISON_LAWS[sort.__name__](values)
-
-
-# an in-place sort takes any mutable sequence; arc_sort takes any iterable
-CONTAINERS = {"arc_sort": [deque, tuple, iter], "bubble_sort": [deque]}
-
-
-@pytest.mark.parametrize("sort", COMPILED, ids=NAMES)
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_both_backends_take_any_sequence(backend, sort):
-    run = on(backend, sort)
-    values = [(i * 37) % 23 - 11 for i in range(150)]
-    want_metrics = SortMetrics()
-    want = list(run(list(values), want_metrics))
-    for container in CONTAINERS[sort.__name__]:
-        data = container(values)
-        metrics = SortMetrics()
-        out = run(data, metrics)
-        assert list(out) == want == sorted(values), container.__name__
-        assert metrics == want_metrics
-        if sort is not arc_sort:
-            assert out is data  # sorted in place
-
-
 @needs_cc
 def test_a_failed_allocation_raises_memory_error_and_sorts_nothing(monkeypatch):
     keys = array("q", [3, 1, 2])
     counts = array("q", [0, 0])
     # a scratch buffer of 2**63 bytes: more than any address space holds
-    kernels().arc_sort(keys.buffer_info()[0], 2**60, counts.buffer_info()[0])
+    a, c = (c_void_p(buf.buffer_info()[0]) for buf in (keys, counts))
+    kernels().arc_sort(a, c_int64(2**60), c)
     assert counts[0] == -1
     assert list(keys) == [3, 1, 2]
 
     def no_memory(a, n, counts):
-        ctypes.c_int64.from_address(counts).value = -1
+        c_int64.from_address(counts).value = -1
 
     monkeypatch.setattr(_compiled, "kernels", lambda: SimpleNamespace(arc_sort=no_memory))
     values = [3, 1, 2]

@@ -1,10 +1,10 @@
-"""Randomized invariants for the sorts, the bucketing, and the generators."""
+"""Randomized invariants for the sorts, the bucketing and the generators, and
+index-loop parity of every sort on every backend of `backends.PARAMS`."""
 
 from __future__ import annotations
 
 import random
 from collections import Counter
-from contextlib import nullcontext
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -13,7 +13,6 @@ from arcsort import (
     DatasetSpec,
     SortMetrics,
     arc_sort,
-    bubble_sort,
     concatenate,
     count_digits,
     distribute,
@@ -23,9 +22,8 @@ from arcsort import (
     selection_sort,
 )
 from arcsort.bench import ALGORITHMS
-from arcsort._compiled import kernels
-from arcsort.sorts import _BLOCK
-from backends import COMPILED, needs_cc, no_compiler, pure
+from arcsort.sorts import INT64_MAX, INT64_MIN, _BLOCK
+from backends import CONTRACTS, PARAMS, assert_is_the_index_loop, no_compiler, on
 from oracles import (
     bubble_count_laws,
     pair_comparisons,
@@ -33,8 +31,6 @@ from oracles import (
     reference_bubble,
     reference_digit_class,
     reference_enhanced_selection,
-    reference_insertion,
-    reference_selection,
 )
 
 int64s = st.integers(min_value=-(2**63), max_value=2**63 - 1)
@@ -76,16 +72,12 @@ def with_block_examples(test):
     return test
 
 
-ALL_SORTS = [enhanced_selection_sort, selection_sort, insertion_sort, bubble_sort]
-
-
-@pytest.mark.parametrize("sort", ALL_SORTS)
+@pytest.mark.parametrize("backend, name", PARAMS)
 @settings(deadline=None, max_examples=120)
 @given(values=st.one_of(full_range_lists, dup_lists))
-def test_sorts_match_oracle_and_preserve_multiset(sort, values):
-    data = list(values)
+def test_sorts_match_oracle_and_preserve_multiset(backend, name, values):
     metrics = SortMetrics()
-    sort(data, metrics)
+    data = on(backend, name)(list(values), metrics)
     assert data == sorted(values)
     assert Counter(data) == Counter(values)
     assert metrics.comparisons >= 0
@@ -93,15 +85,13 @@ def test_sorts_match_oracle_and_preserve_multiset(sort, values):
     assert metrics.writes >= 0
 
 
-@pytest.mark.parametrize("sort", ALL_SORTS)
+@pytest.mark.parametrize("backend, name", PARAMS)
 @settings(deadline=None, max_examples=60)
 @given(values=dup_lists)
-def test_sorts_are_deterministic(sort, values):
-    a, b = list(values), list(values)
+def test_sorts_are_deterministic(backend, name, values):
+    run = on(backend, name)
     ma, mb = SortMetrics(), SortMetrics()
-    sort(a, ma)
-    sort(b, mb)
-    assert a == b
+    assert run(list(values), ma) == run(list(values), mb)
     assert ma == mb
 
 
@@ -145,39 +135,32 @@ def test_enhanced_selection_counts_match_recursive_reference(values):
     assert metrics.swaps == expected_swaps
 
 
-# bench.ALGORITHMS name -> reference returning (sorted, comparisons, swaps)
-REFERENCES = {
-    "enhanced-selection": reference_enhanced_selection,
-    "selection": reference_selection,
-    "arc": reference_arc,
-}
+# the sorts whose kernels keep their unsorted part in blocks
+SELECTION_FAMILY = ["enhanced-selection", "selection", "arc"]
 
 
-@pytest.mark.parametrize("name", list(REFERENCES))
+@pytest.mark.parametrize("name", SELECTION_FAMILY)
 @with_block_examples
 @settings(deadline=None, max_examples=150)
 @given(values=st.one_of(tie_lists, wide_lists, block_lists()))
 def test_selection_sorts_equal_reference(name, values):
-    run = ALGORITHMS[name]
-    expected_sorted, expected_cmp, expected_swaps = REFERENCES[name](values)
+    expected_sorted, expected_metrics = CONTRACTS[name].oracle(values)
     metrics = SortMetrics()
-    assert run(list(values), metrics) == expected_sorted
-    assert metrics == SortMetrics(comparisons=expected_cmp, swaps=expected_swaps)
+    assert ALGORITHMS[name](list(values), metrics) == expected_sorted
+    assert metrics == expected_metrics
 
 
-@pytest.mark.parametrize("name", list(REFERENCES))
+@pytest.mark.parametrize("name", SELECTION_FAMILY)
 @with_block_examples
 @settings(deadline=None, max_examples=60)
 @given(values=st.one_of(tie_lists, wide_lists, block_lists()))
 def test_selection_sorts_accumulate_and_accept_no_metrics(name, values):
     run = ALGORITHMS[name]
-    expected_sorted, expected_cmp, expected_swaps = REFERENCES[name](values)
+    expected_sorted, expected = CONTRACTS[name].oracle(values)
     assert run(list(values), None) == expected_sorted
     metrics = SortMetrics(comparisons=7, swaps=5, writes=3)
     assert run(list(values), metrics) == expected_sorted
-    assert metrics == SortMetrics(
-        comparisons=7 + expected_cmp, swaps=5 + expected_swaps, writes=3
-    )
+    assert metrics == SortMetrics(7 + expected.comparisons, 5 + expected.swaps, 3)
 
 
 # ties and wide values, plus monotone runs: one pass or none to do, and every
@@ -190,10 +173,10 @@ index_loop_inputs = st.one_of(tie_lists, wide_lists).flatmap(
 @settings(deadline=None, max_examples=300)
 @given(values=index_loop_inputs)
 def test_insertion_equals_index_loop_reference(values):
-    expected_sorted, expected_cmp, expected_writes = reference_insertion(values)
+    expected_sorted, expected_metrics = CONTRACTS["insertion"].oracle(values)
     metrics = SortMetrics()
     assert ALGORITHMS["insertion"](list(values), metrics) == expected_sorted
-    assert metrics == SortMetrics(comparisons=expected_cmp, writes=expected_writes)
+    assert metrics == expected_metrics
 
 
 class Snapshots(list):
@@ -225,8 +208,9 @@ class Snapshots(list):
             self.missed.pop()
 
 
-def assert_bubble_is_the_index_loop(values) -> SortMetrics:
-    """The pure kernel: its compiled twin stores only the final state."""
+def assert_bubble_is_the_index_loop(values) -> None:
+    """The pure kernel, pass by pass: its compiled twin stores only the final
+    state.  Its counts also follow the pass and swap laws of the input."""
     pass_ends = []
     expected_sorted, expected_cmp, expected_swaps = reference_bubble(values, pass_ends)
     data = Snapshots(values, pass_ends)
@@ -235,39 +219,26 @@ def assert_bubble_is_the_index_loop(values) -> SortMetrics:
         assert ALGORITHMS["bubble"](data, metrics) is data
     assert data == expected_sorted
     assert metrics == SortMetrics(comparisons=expected_cmp, swaps=expected_swaps)
+    assert (expected_cmp, expected_swaps) == bubble_count_laws(values)
     assert data.missed == []
-    return metrics
 
 
-@example(values=[])
-@example(values=[1])
-@example(values=[2, 1])
-@example(values=[1, 1, 0])  # equal records
-@example(values=[2, 1, 3])  # the last pass swaps nothing
+def small_examples(test):
+    """``test`` with short lists that bubble's pass logic turns on: equal
+    records in [1, 1, 0], and a last pass that swaps nothing in [2, 1, 3]."""
+    for values in ([], [1], [2, 1], [1, 1, 0], [2, 1, 3]):
+        test = example(values=values)(test)
+    return test
+
+
+@small_examples
 @settings(deadline=None, max_examples=300)
-@given(values=index_loop_inputs)
+@given(values=st.one_of(index_loop_inputs, dup_lists))
 def test_bubble_equals_index_loop_reference(values):
     assert_bubble_is_the_index_loop(values)
 
 
-@example(values=[])
-@example(values=[1])
-@example(values=[2, 1])
-@example(values=[1, 1, 0])
-@example(values=[2, 1, 3])
-@settings(deadline=None, max_examples=200)
-@given(values=st.one_of(index_loop_inputs, dup_lists))
-@pytest.mark.parametrize("compiled", [False, pytest.param(True, marks=needs_cc)], ids=["pure", "c"])
-def test_bubble_counts_follow_the_pass_and_swap_laws(compiled, values):
-    expected_cmp, expected_swaps = bubble_count_laws(values)
-    metrics = SortMetrics()
-    with nullcontext() if compiled else no_compiler():
-        assert (kernels() is not None) is compiled
-        bubble_sort(list(values), metrics)
-    assert metrics == SortMetrics(comparisons=expected_cmp, swaps=expected_swaps)
-
-
-def bubble_inputs_at_oracle_mix_sizes():
+def oracle_mix_inputs():
     """Criterion 2's two array kinds at its sizes, which hypothesis seldom
     draws, with both monotone runs and the turtle, whose keys but one are records."""
     rng = random.Random(16)
@@ -280,38 +251,34 @@ def bubble_inputs_at_oracle_mix_sizes():
         yield pytest.param([*range(1, n), 0], id=f"turtle-{n}")
 
 
-@pytest.mark.parametrize("values", bubble_inputs_at_oracle_mix_sizes())
+@pytest.mark.parametrize("values", oracle_mix_inputs())
 def test_bubble_is_the_index_loop_at_oracle_mix_sizes(values):
-    metrics = assert_bubble_is_the_index_loop(values)
-    assert (metrics.comparisons, metrics.swaps) == bubble_count_laws(values)
+    assert_bubble_is_the_index_loop(values)
 
 
-def assert_compiled_bubble_is_the_index_loop(values) -> None:
-    assert kernels() is not None  # a compiler is on PATH: the C twin must load
-    expected_sorted, expected_cmp, expected_swaps = reference_bubble(values)
-    data = list(values)
-    metrics = SortMetrics(comparisons=7, swaps=5, writes=3)
-    assert bubble_sort(data, metrics) is data
-    assert data == expected_sorted
-    assert metrics == SortMetrics(comparisons=7 + expected_cmp, swaps=5 + expected_swaps, writes=3)
+# both sides of every digit-class boundary, 0 | 1 to 10**18 - 1 | 10**18, the
+# int64 ends and -1
+DIGIT_EDGES = [k for d in range(19) for k in (10**d - 1, 10**d)] + [INT64_MAX, INT64_MIN, -1]
+edge_lists = st.lists(
+    st.one_of(st.sampled_from(DIGIT_EDGES), st.integers(min_value=-3, max_value=3), int64s),
+    max_size=64,
+)
 
 
-@needs_cc
-@example(values=[])
-@example(values=[1])
-@example(values=[2, 1])
-@example(values=[1, 1, 0])
-@example(values=[2, 1, 3])
-@settings(deadline=None, max_examples=300)
-@given(values=st.one_of(index_loop_inputs, dup_lists))
-def test_compiled_bubble_equals_index_loop_reference(values):
-    assert_compiled_bubble_is_the_index_loop(values)
+@pytest.mark.parametrize("backend, name", PARAMS)
+@small_examples
+@example(values=DIGIT_EDGES)
+@example(values=DIGIT_EDGES[::-1] * 2)
+@settings(deadline=None, max_examples=150)
+@given(values=st.one_of(edge_lists, index_loop_inputs, dup_lists))
+def test_every_backend_equals_the_index_loop(backend, name, values):
+    assert_is_the_index_loop(on(backend, name), name, values)
 
 
-@needs_cc
-@pytest.mark.parametrize("values", bubble_inputs_at_oracle_mix_sizes())
-def test_compiled_bubble_is_the_index_loop_at_oracle_mix_sizes(values):
-    assert_compiled_bubble_is_the_index_loop(values)
+@pytest.mark.parametrize("backend, name", PARAMS)
+@pytest.mark.parametrize("values", oracle_mix_inputs())
+def test_every_backend_equals_the_index_loop_at_oracle_mix_sizes(backend, name, values):
+    assert_is_the_index_loop(on(backend, name), name, values)
 
 
 @settings(deadline=None, max_examples=100)
@@ -357,7 +324,7 @@ def test_keys_have_one_order_of_rejection(values):
     # every entry point names the first bad key in input order, the same way
     first = next(x for x in values if type(x) is not int or not -(2**63) <= x < 2**63)
     seen = {name: rejection(run, values) for name, run in ALGORITHMS.items()}
-    seen.update((f"{sort.__name__} pure", rejection(pure(sort), values)) for sort in COMPILED)
+    seen.update((f"{name} pure", rejection(on("pure", name), values)) for name in ALGORITHMS)
     seen["distribute"] = rejection(distribute, values)
     assert len(set(seen.values())) == 1, seen
     assert seen["distribute"][1].startswith(f"{first!r} "), seen

@@ -1,4 +1,5 @@
-"""Unit tests for the four instrumented sorts.
+"""Unit tests for the four instrumented in-place sorts, and the key rule,
+``metrics=None`` and the containers of every sort on every backend.
 
 Expected operation counts were computed with the independent recursive
 reference in ``oracles.py`` (and tiny step interpreters for the pinned
@@ -7,10 +8,8 @@ baseline variants) before being frozen here.
 
 from __future__ import annotations
 
-import enum
 import inspect
 import re
-from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -22,18 +21,15 @@ from arcsort import (
     insertion_sort,
     selection_sort,
 )
-from backends import pure
+from arcsort import sorts
+from backends import CONTRACTS, PARAMS, Digits, Index, on
 
 ALL_SORTS = [enhanced_selection_sort, selection_sort, insertion_sort, bubble_sort]
-# a sort with a compiled twin runs it where a compiler is found, so its pure kernel runs too
-BOTH_PATHS = [*ALL_SORTS, *(pure(sort) for sort in ALL_SORTS if sort.compiled)]
 
 
 def run(sort, values):
-    data = list(values)
     metrics = SortMetrics()
-    sort(data, metrics)
-    return data, metrics
+    return sort(list(values), metrics), metrics
 
 
 def test_metrics_start_at_zero():
@@ -136,11 +132,9 @@ class TestBubble:
         assert m == SortMetrics()
 
 
-@pytest.mark.parametrize("sort", ALL_SORTS)
-def test_metrics_argument_is_optional(sort):
-    data = [5, -3, 5, 0]
-    sort(data)
-    assert data == [-3, 0, 5, 5]
+@pytest.mark.parametrize("backend, name", PARAMS)
+def test_metrics_argument_is_optional(backend, name):
+    assert on(backend, name)([5, -3, 5, 0]) == [-3, 0, 5, 5]
 
 
 # The first docstring line of each public sort: the public sort shows its
@@ -169,35 +163,31 @@ def test_public_sort_keeps_its_surface(sort):
     assert sort.__doc__.splitlines()[0] == DOC_FIRST_LINES[sort.__name__]
 
 
-@pytest.mark.parametrize("sort", ALL_SORTS)
-def test_sorts_in_place_with_negatives_and_duplicates(sort):
-    values = [0, -1, 5, -10, 3, 3, 2, -1]
-    data, _ = run(sort, values)
-    assert data == sorted(values)
+@pytest.mark.parametrize("backend, name", PARAMS)
+def test_int64_extremes(backend, name):
+    values = [2**63 - 1, -(2**63), 0, 1, -1]
+    assert on(backend, name)(list(values)) == sorted(values)
 
 
-# Any mutable sequence may come in, not only a list: a deque cannot be sliced.
-@pytest.mark.parametrize("sort", BOTH_PATHS)
-def test_sorts_a_deque_as_they_sort_a_list(sort):
+# Any container of CONTRACTS may come in, not only a list: a deque cannot be
+# sliced, and arc_sort takes any iterable.
+@pytest.mark.parametrize("backend, name", PARAMS)
+def test_sorts_a_deque_as_they_sort_a_list(backend, name):
+    sort, contract = on(backend, name), CONTRACTS[name]
     values = [(i * 37) % 23 - 11 for i in range(150)]  # three blocks, with duplicates
     want, want_metrics = run(sort, values)
-    data = deque(values)
-    metrics = SortMetrics()
-    assert sort(data, metrics) is data
-    assert list(data) == want
-    assert metrics == want_metrics
+    for container in contract.containers:
+        data = container(values)
+        metrics = SortMetrics()
+        out = sort(data, metrics)
+        assert list(out) == want == sorted(values), container.__name__
+        assert metrics == want_metrics
+        assert (out is data) == contract.in_place
 
 
-@pytest.mark.parametrize("sort", ALL_SORTS)
-def test_int64_extremes(sort):
-    values = [2**63 - 1, -(2**63), 0, 1, -1]
-    data, _ = run(sort, values)
-    assert data == sorted(values)
-
-
-# The classic sorts follow distribute's key rule: the same errors, raised
+# Every sort follows distribute's key rule: the same errors, raised
 # before the first pass, so a rejected input is left as it was given.
-@pytest.mark.parametrize("sort", BOTH_PATHS)
+@pytest.mark.parametrize("backend, name", PARAMS)
 @pytest.mark.parametrize(
     "values, bad",
     [
@@ -208,39 +198,27 @@ def test_int64_extremes(sort):
         ([3, "4"], "'4'"),
     ],
 )
-def test_classic_sorts_reject_non_integer_keys(sort, values, bad):
+def test_classic_sorts_reject_non_integer_keys(backend, name, values, bad):
     data = list(values)
     with pytest.raises(TypeError, match=re.escape(f"{bad} is not an integer key")):
-        sort(data, SortMetrics())
+        on(backend, name)(data, SortMetrics())
     assert data == values
 
 
-@pytest.mark.parametrize("sort", BOTH_PATHS)
+@pytest.mark.parametrize("backend, name", PARAMS)
 @pytest.mark.parametrize("value", [2**63, 10**19, -(2**63) - 1, 2**64])
-def test_classic_sorts_reject_keys_outside_int64(sort, value):
+def test_classic_sorts_reject_keys_outside_int64(backend, name, value):
     data = [5, value, -1]  # 2**64 was sorted after -1
     metrics = SortMetrics()
     with pytest.raises(OverflowError, match=f"{value} is outside the signed 64-bit range"):
-        sort(data, metrics)
+        on(backend, name)(data, metrics)
+    assert data == [5, value, -1]
     assert metrics == SortMetrics()
 
 
-class Digits(enum.IntEnum):
-    TWELVE = 12
-
-
-class Index:
-    """An integer-like key that is not an int: it has ``__index__`` only."""
-
-    def __init__(self, value: int):
-        self.value = value
-
-    def __index__(self) -> int:
-        return self.value
-
-
-@pytest.mark.parametrize("sort", BOTH_PATHS)
-def test_classic_sorts_convert_index_keys_to_int(sort):
+@pytest.mark.parametrize("backend, name", PARAMS)
+def test_classic_sorts_convert_index_keys_to_int(backend, name):
+    sort = on(backend, name)
     plain, plain_metrics = run(sort, [30, 12, -1, 5])
     data, metrics = run(sort, [Index(30), Digits.TWELVE, Index(-1), 5])
     assert data == plain == [-1, 5, 12, 30]
@@ -248,7 +226,24 @@ def test_classic_sorts_convert_index_keys_to_int(sort):
     assert metrics == plain_metrics
 
 
-@pytest.mark.parametrize("sort", BOTH_PATHS)
-def test_classic_sorts_index_keys_keep_the_int64_range(sort):
+@pytest.mark.parametrize("backend, name", PARAMS)
+def test_classic_sorts_index_keys_keep_the_int64_range(backend, name):
     with pytest.raises(OverflowError, match=str(2**63)):
-        sort([Index(2**63), 1])
+        on(backend, name)([Index(2**63), 1])
+
+
+@pytest.mark.parametrize("backend, name", PARAMS)
+def test_classic_sorts_check_keys_once(monkeypatch, backend, name):
+    # the key rule runs once a call on every backend: the per-bucket sorts of
+    # arc_sort's pure path must not repeat it
+    check_keys = sorts.check_keys
+    calls = []
+
+    def counted(data):
+        calls.append(list(data))
+        check_keys(data)
+
+    monkeypatch.setattr(sorts, "check_keys", counted)
+    values = [349, 34, -72, 22, 14, -1]  # two of arc_sort's buckets hold two keys or more
+    assert on(backend, name)(list(values)) == sorted(values)
+    assert calls == [values]
