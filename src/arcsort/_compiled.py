@@ -9,11 +9,12 @@ place that chooses the backend, from what it observes.
 from __future__ import annotations
 
 import os
-from collections.abc import MutableSequence
 from functools import cache
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # for the annotations only; sorts imports this module, not the reverse
+    from array import array
+
     from .sorts import SortMetrics
 
 # how _ckernels.c is built; part of the cached library's name
@@ -51,45 +52,49 @@ def kernels():
             import subprocess
             import tempfile
 
+            fresh = not os.path.isdir(cache_dir)  # made here, so removed again unless a build lands
             os.makedirs(cache_dir, exist_ok=True)
-            with tempfile.TemporaryDirectory(dir=cache_dir) as tmp:
-                built = os.path.join(tmp, "_ckernels.so")
-                cc = subprocess.run(["cc", *_CFLAGS, "-o", built, source], capture_output=True)
-                if cc.returncode:
-                    return None
-                lib = ctypes.CDLL(built)
-                os.replace(built, path)
+            try:
+                with tempfile.TemporaryDirectory(dir=cache_dir) as tmp:
+                    built = os.path.join(tmp, "_ckernels.so")
+                    cc = subprocess.run(["cc", *_CFLAGS, "-o", built, source], capture_output=True)
+                    if cc.returncode:
+                        return None
+                    lib = ctypes.CDLL(built)
+                    os.replace(built, path)
+                    fresh = False
+            finally:
+                if fresh:  # nothing landed: leave no directory either
+                    os.rmdir(cache_dir)  # OSError, so None, while another process builds in it
     except OSError:  # FileNotFoundError too, where no cc is on PATH
         return None
     return lib
 
 
-def run(name: str, data: MutableSequence[int], metrics: SortMetrics) -> bool:
-    """Sort ``data`` in place with the kernel ``name`` of :func:`kernels`, adding
-    its comparisons and swaps to ``metrics``; False, touching nothing, if none loads.
+def run(name: str, keys: list[int], metrics: SortMetrics) -> array | None:
+    """``keys`` sorted by the kernel ``name`` of :func:`kernels`, as an ``array('q')``,
+    with its comparisons and swaps added to ``metrics``; None, touching nothing, if none loads.
 
     The keys must have passed ``sorts.check_keys``: ``array('q')`` would
-    take a bool as 1.  A kernel that cannot allocate its scratch space
-    raises :class:`MemoryError`, with ``data`` and ``metrics`` untouched.
+    take a bool as 1.  The caller gives up the list: it is emptied once
+    the array holds its keys, so it is freed before the caller turns the
+    result into a list.  A kernel that cannot allocate its scratch space
+    raises :class:`MemoryError`, with ``metrics`` untouched.
     """
     lib = kernels()
     if lib is None:
-        return False
+        return None
     from array import array
     from ctypes import c_int64, c_void_p
 
     kernel = getattr(lib, name)  # void name(int64_t *a, int64_t n, int64_t *counts), as all are
     kernel.argtypes, kernel.restype = (c_void_p, c_int64, c_void_p), None
-    keys = array("q", data)
+    packed = array("q", keys)
+    keys.clear()
     counts = array("q", (0, 0))
-    kernel(keys.buffer_info()[0], len(keys), counts.buffer_info()[0])
+    kernel(packed.buffer_info()[0], len(packed), counts.buffer_info()[0])
     if counts[0] < 0:
-        raise MemoryError(f"{name} could not allocate scratch space for {len(keys)} keys")
-    if isinstance(data, list):
-        data[:] = keys.tolist()
-    else:  # a deque, say, takes no slice
-        for i, x in enumerate(keys):
-            data[i] = x
+        raise MemoryError(f"{name} could not allocate scratch space for {len(packed)} keys")
     metrics.comparisons += counts[0]
     metrics.swaps += counts[1]
-    return True
+    return packed

@@ -124,7 +124,13 @@ def _public(kernel: Callable[[MutableSequence[int], SortMetrics], None], compile
         if compiled:
             from ._compiled import run  # imported by the first such call, not at launch
 
-            if run(kernel.__name__, data, metrics):
+            keys = run(kernel.__name__, list(data), metrics)  # run empties the copy
+            if keys is not None:
+                if isinstance(data, list):
+                    data[:] = keys.tolist()
+                else:  # a deque, say, takes no slice
+                    for i, x in enumerate(keys):
+                        data[i] = x
                 return data
         kernel(data, metrics)
         return data
@@ -376,8 +382,9 @@ def arc_sort(data: Sequence[int], metrics: SortMetrics | None = None) -> list[in
     check_keys(keys)
     from ._compiled import run  # imported by the first call, not at launch
 
-    if run("arc_sort", keys, metrics):
-        return keys
+    packed = run("arc_sort", keys, metrics)
+    if packed is not None:
+        return packed.tolist()
     table = _scatter(keys)
     for bucket in table.buckets:
         if len(bucket) > 1:

@@ -17,8 +17,11 @@ A sort with ``.compiled`` set runs its C twin wherever
 ``arcsort._compiled.kernels`` can build and load ``_ckernels.c``.
 ``no_compiler`` fakes the observation that makes it run its pure path
 instead, as on a host with no ``cc``: an empty ``PATH`` and an empty
-cache directory.  ``Digits`` and ``Index`` are integer-like keys that the
-key rule turns into ints.
+cache directory.  That costs a spawn of the missing ``cc`` each time, so
+``pure_path``, which ``on`` uses, gives the sorts a ``kernels`` that
+finds nothing instead; the loader's own tests take the real path.
+``Digits`` and ``Index`` are integer-like keys that the key rule turns
+into ints.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from typing import NamedTuple
 
 import pytest
 
-from arcsort import ALGORITHMS, SortMetrics
+from arcsort import ALGORITHMS, SortMetrics, _compiled
 from arcsort._compiled import kernels
 from oracles import (
     bubble_count_laws,
@@ -131,6 +134,15 @@ def no_compiler():
             kernels.cache_clear()  # the next call loads again, in the real environment
 
 
+@contextmanager
+def pure_path():
+    """Run the block as :func:`no_compiler` does, with no ``cc`` spawned: the
+    sorts find no library, and run their pure paths."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_compiled, "kernels", lambda: None)
+        yield
+
+
 def on(backend: str, name: str):
     """The sort ``name`` on ``backend`` of one of PARAMS; "c" requires the twin to load."""
     sort = ALGORITHMS[name]
@@ -140,7 +152,7 @@ def on(backend: str, name: str):
         return sort
 
     def pure(*args, **kwargs):
-        with no_compiler():
+        with pure_path():
             return sort(*args, **kwargs)
 
     return pure

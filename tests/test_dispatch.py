@@ -8,7 +8,8 @@ whatever the accumulator already holds, an in-place sort returns its data
 and ``arc_sort`` leaves its input alone, every result value is a plain
 ``int``, and where the twin cannot be built or loaded, the pure path
 runs.  The loader builds once, caches the build in the user cache
-directory (never one relative to the working directory) and reuses it.
+directory (never one relative to the working directory) and reuses it;
+a failed build or load leaves nothing there.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import arcsort
 from arcsort import ALGORITHMS, SortMetrics, arc_sort
 from arcsort import _compiled
 from arcsort._compiled import kernels
-from backends import PARAMS, assert_is_the_index_loop, needs_cc, on
+from backends import PARAMS, assert_is_the_index_loop, needs_cc, no_compiler, on
 
 _rng = random.Random(20140609)
 INPUTS = [
@@ -104,8 +105,14 @@ def test_compiled_sorts_fall_back_to_their_pure_paths(fresh_loader, monkeypatch,
     for name, sort in ALGORITHMS.items():
         for values in INPUTS:
             assert_is_the_index_loop(sort, name, values)
-    # a failed build or load leaves no file in the cache, so the next process builds again
-    assert [p for p in (tmp_path / "cache").rglob("*") if not p.is_dir()] == []
+    # a failed build or load leaves nothing in the cache, so the next process builds again
+    assert list((tmp_path / "cache").rglob("*")) == []
+
+
+def test_no_compiler_leaves_the_cache_home_empty():
+    with no_compiler():
+        assert kernels() is None
+        assert os.listdir(os.environ["XDG_CACHE_HOME"]) == []
 
 
 @needs_cc

@@ -23,7 +23,7 @@ from arcsort import (
 )
 from arcsort.bench import ALGORITHMS
 from arcsort.sorts import INT64_MAX, INT64_MIN, _BLOCK
-from backends import CONTRACTS, PARAMS, assert_is_the_index_loop, no_compiler, on
+from backends import CONTRACTS, PARAMS, assert_is_the_index_loop, on, pure_path
 from oracles import (
     bubble_count_laws,
     pair_comparisons,
@@ -215,7 +215,7 @@ def assert_bubble_is_the_index_loop(values) -> None:
     expected_sorted, expected_cmp, expected_swaps = reference_bubble(values, pass_ends)
     data = Snapshots(values, pass_ends)
     metrics = SortMetrics()
-    with no_compiler():
+    with pure_path():
         assert ALGORITHMS["bubble"](data, metrics) is data
     assert data == expected_sorted
     assert metrics == SortMetrics(comparisons=expected_cmp, swaps=expected_swaps)
@@ -278,6 +278,35 @@ def test_every_backend_equals_the_index_loop(backend, name, values):
 @pytest.mark.parametrize("backend, name", PARAMS)
 @pytest.mark.parametrize("values", oracle_mix_inputs())
 def test_every_backend_equals_the_index_loop_at_oracle_mix_sizes(backend, name, values):
+    assert_is_the_index_loop(on(backend, name), name, values)
+
+
+def block_boundary_inputs():
+    """Single-bucket inputs around the C scan's blocks of ``_BLOCK`` keys:
+    one key short of a block, one block and one key over, as n = 63, 64 and
+    65 are to its first pass, and two blocks (128) and three keys over (131).
+    The maximum sits at each offset modulo 4 from a block's start, so in
+    every lane of a scan with two or four running maxima: once, at the end
+    of the first block, and then also at the start of the first two blocks,
+    so the scan meets it across a block boundary, and in the candidate's
+    slot ``a[last]``."""
+    rng = random.Random(31)
+    for n in (63, 64, 65, 128, 131):
+        for lane in range(4):
+            once = [rng.randint(100, 998) for _ in range(n)]
+            ties = list(once)
+            end = _BLOCK - 4 + lane
+            once[end if end < n - 1 else lane] = 999
+            for i in (lane, _BLOCK - 4 + lane, _BLOCK + lane, n - 1):
+                if i < n:
+                    ties[i] = 999
+            yield pytest.param(once, id=f"{n}-lane{lane}-once")
+            yield pytest.param(ties, id=f"{n}-lane{lane}-ties")
+
+
+@pytest.mark.parametrize("backend, name", PARAMS)
+@pytest.mark.parametrize("values", block_boundary_inputs())
+def test_every_backend_equals_the_index_loop_at_block_boundaries(backend, name, values):
     assert_is_the_index_loop(on(backend, name), name, values)
 
 
