@@ -39,9 +39,13 @@ which makes each in-place sort from its kernel, kept as ``.kernel``,
 
 ``arc_sort`` and bubble sort also have a compiled twin in
 ``_ckernels.c``: the whole bucketed sort as one call, and bubble's index
-loop.  Each public sort says whether it has one in ``.compiled``, runs
-it whenever :mod:`arcsort._compiled` can build and load it, and runs its
-pure path otherwise.  The public ``enhanced_selection_sort`` and
+loop.  Each public sort says whether it has one in ``.compiled`` and
+asks :func:`arcsort._compiled.run` for it on every call.  ``run`` loads
+the library at the call that brings the process's charge, n(n-1)/2 for
+each such call, to ``_compiled.LOAD_AT``, and runs the twin from then
+on, or from the first call of :func:`arcsort._compiled.kernels`.  The
+sort runs its pure path before then, and wherever the library cannot be
+built or loaded.  The public ``enhanced_selection_sort`` and
 ``selection_sort`` stay pure.  Compiled, they would let the benchmark's
 ``oracle-mix`` workload run about 1.5 times as many cycles; that
 workload keeps the counts of every sort it runs and reads few of them
@@ -114,8 +118,8 @@ def _public(kernel: Callable[[MutableSequence[int], SortMetrics], None], compile
     """The public sort of ``kernel``: check the keys, default the metrics, return the data.
 
     A ``compiled`` kernel runs as its twin of the same name in
-    ``_ckernels.c`` whenever :mod:`arcsort._compiled` loads it, and as
-    itself otherwise.  The sort keeps the flag as ``.compiled``.
+    ``_ckernels.c`` whenever :func:`arcsort._compiled.run` sends the call
+    there, and as itself otherwise.  The sort keeps the flag as ``.compiled``.
     """
 
     def sort(data: MutableSequence[int], metrics: SortMetrics | None = None) -> MutableSequence[int]:
@@ -270,7 +274,8 @@ def bubble_sort(data: MutableSequence[int], metrics: SortMetrics) -> None:
     ``tests/oracles.py``, and the counts are that loop's: ``limit``
     comparisons a pass and a swap for each key that is not a record.
     The public sort runs that loop itself, compiled from ``_ckernels.c``,
-    whenever :mod:`arcsort._compiled` loads it, and this body otherwise.
+    whenever :func:`arcsort._compiled.run` sends the call there, and this
+    body otherwise.
     """
     n = len(data)
     comparisons = 0
@@ -373,8 +378,8 @@ def arc_sort(data: Sequence[int], metrics: SortMetrics | None = None) -> list[in
     Metrics accumulate across the per-bucket sorts, so total comparisons
     equal the sum of c(c-1)/2 over bucket occupancies c.  The keys are
     copied and checked once; then the whole sort is one call of its twin
-    ``arc_sort`` in ``_ckernels.c`` whenever :mod:`arcsort._compiled`
-    loads it.  Otherwise the checked keys are scattered as by
+    ``arc_sort`` in ``_ckernels.c`` whenever :func:`arcsort._compiled.run`
+    sends the call there.  Otherwise the checked keys are scattered as by
     :func:`distribute` and each bucket runs the enhanced selection kernel.
     """
     metrics = SortMetrics() if metrics is None else metrics

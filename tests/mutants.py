@@ -4,12 +4,13 @@ Each sort has one definition, so the index loops in ``tests/oracles.py``
 and the tests built on them are the only guard on it.  This script shows
 that they catch plausible slips in the kernels, the bucketing, the key
 rule and the CLI's integer parser, in the compiled bubble and arc sorts
-of ``_ckernels.c`` with their write-back, and in the loader and the bench
-label that choose the backend.  Each mutant is one exact text in
-one file, replaced by another, and the tests that must fail.  For each
-mutant, the script copies ``src/``, ``tests/`` and ``pyproject.toml`` to
-a temporary directory, applies the mutant there and runs the named tests
-with ``pytest -x -q``; the mutant is killed if they fail.  The tests get
+of ``_ckernels.c`` with their write-back, and in the loader, its load
+rule and the bench label that choose the backend.  Each mutant is one
+exact text in one file, replaced by another, and the tests that must
+fail.  For each mutant, the script copies ``src/``, ``tests/`` and
+``pyproject.toml`` to a temporary directory, applies the mutant there
+and runs the named tests with ``pytest -x -q``; the mutant is killed if
+they fail.  The tests get
 a cache directory of their own, where each C mutant is built once.  The
 unmutated copy must pass the same tests first.  An old text that does not occur
 exactly once is an error, so a refactor that makes a mutant stale fails
@@ -63,6 +64,7 @@ COMPILED_ARC = (
     f"{PROPS}::test_every_backend_equals_the_index_loop_at_oracle_mix_sizes[small-range-512-arc_sort]",
     f"{PROPS}::test_every_backend_equals_the_index_loop_at_block_boundaries[131-lane0-ties-arc_sort]",
 )
+LOAD_RULE = "tests/test_dispatch.py::test_small_calls_load_the_library_once_their_charges_reach_load_at[arc]"
 
 
 class Mutant(NamedTuple):
@@ -147,6 +149,19 @@ MUTANTS = [
     Mutant("loader: a failed build leaves the cache directory it made", COMPILED,
            "os.rmdir(cache_dir)", "pass",
            ("tests/test_dispatch.py::test_no_compiler_leaves_the_cache_home_empty",)),
+    Mutant("load rule: the library loads at the first call", COMPILED,
+           "LOAD_AT = 150_000", "LOAD_AT = 0",
+           ("tests/test_imports.py::test_a_small_compiled_sort_command_loads_the_loader_but_not_ctypes[arc]",
+            LOAD_RULE)),
+    Mutant("load rule: the charge never opens the gate", COMPILED,
+           "if _charged < LOAD_AT:", "if True:",
+           ("tests/test_imports.py::test_a_compiled_sort_command_over_the_load_charge_loads_ctypes[arc]",
+            LOAD_RULE)),
+    Mutant("load rule: each call charged alone, not summed", COMPILED,
+           "_charged += len(keys)", "_charged = len(keys)", (LOAD_RULE,)),
+    Mutant("load rule: kernels() leaves the gate shut", COMPILED,
+           "_loaded = True", "_loaded = False",
+           ("tests/test_dispatch.py::test_after_a_direct_load_every_call_runs_c",)),
     Mutant("bench: the backend label ignores the grid", BENCH,
            "lib = kernels() if compiled else None", "lib = kernels()",
            ("tests/test_bench.py::test_a_grid_without_a_compiled_sort_is_pure_and_builds_nothing",)),

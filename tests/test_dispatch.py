@@ -7,7 +7,9 @@ and the counts are those of the sort's index loop, counts add onto
 whatever the accumulator already holds, an in-place sort returns its data
 and ``arc_sort`` leaves its input alone, every result value is a plain
 ``int``, and where the twin cannot be built or loaded, the pure path
-runs.  The loader builds once, caches the build in the user cache
+runs.  A process loads the library at the call that brings its pure
+calls' n(n-1)/2 charges to ``_compiled.LOAD_AT``, and runs C at every
+size once ``kernels`` has run.  The loader builds once, caches the build in the user cache
 directory (never one relative to the working directory) and reuses it;
 a failed build or load leaves nothing there.
 """
@@ -67,6 +69,37 @@ def fresh_loader():
     kernels.cache_clear()
     yield
     kernels.cache_clear()
+
+
+@pytest.fixture
+def unloaded(fresh_loader, monkeypatch):
+    """The load rule's state in a process that has not loaded the library yet."""
+    monkeypatch.setattr(_compiled, "_loaded", False)
+    monkeypatch.setattr(_compiled, "_charged", 0)
+
+
+@needs_cc
+@pytest.mark.parametrize("name", [name for name, sort in ALGORITHMS.items() if sort.compiled])
+def test_small_calls_load_the_library_once_their_charges_reach_load_at(unloaded, name):
+    values = list(range(40, 0, -1))
+    charge = len(values) * (len(values) - 1) // 2
+    pure_calls = (_compiled.LOAD_AT - 1) // charge  # the most whose charges sum below it
+    for _ in range(pure_calls):
+        assert ALGORITHMS[name](list(values)) == sorted(values)
+    assert kernels.cache_info().currsize == 0
+    assert ALGORITHMS[name](list(values)) == sorted(values)
+    assert kernels.cache_info().currsize == 1
+
+
+@needs_cc
+def test_after_a_direct_load_every_call_runs_c(unloaded):
+    pure = SortMetrics()
+    assert _compiled.run("arc_sort", [3, 1, 2], pure) is None  # charged 3: pure
+    assert pure == SortMetrics()
+    assert kernels() is not None
+    metrics = SortMetrics()
+    assert list(_compiled.run("arc_sort", [3, 1, 2], metrics)) == [1, 2, 3]
+    assert metrics == SortMetrics(3, 2)
 
 
 def fake_cc(directory: Path, script: str) -> Path:

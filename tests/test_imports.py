@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import arcsort
-from arcsort import bench, datagen, sorts
+from arcsort import _compiled, bench, datagen, sorts
 from arcsort.cli import main
 from backends import needs_cc
 
@@ -21,8 +22,8 @@ PURE = next(name for name, sort in arcsort.ALGORITHMS.items() if not sort.compil
 # Modules the sort path has no use for: bench and datagen with the heavy
 # standard library they pull in, the argparse front end with what it loads,
 # ctypes, which only a sort with a compiled twin needs, to load the compiled
-# kernels, and hashlib, whose OpenSSL would add 3.7 MB to every process that
-# loads it.
+# kernels once its process has sorted enough keys, and hashlib, whose OpenSSL
+# would add 3.7 MB to every process that loads it.
 NOT_ON_SORT_PATH = {
     "arcsort.bench",
     "arcsort.datagen",
@@ -38,8 +39,8 @@ NOT_ON_SORT_PATH = {
 }
 
 
-def python(*args: str, stdin: bytes = b"") -> subprocess.CompletedProcess:
-    env = dict(os.environ)
+def python(*args: str, stdin: bytes = b"", **environ: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, **environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], input=stdin, capture_output=True, env=env)
 
@@ -80,16 +81,51 @@ def test_sort_command_loads_three_package_modules():
     assert package == {"arcsort", "arcsort.cli", "arcsort.sorts"}
 
 
-@needs_cc  # without a library to call, the sort never imports array
-@pytest.mark.parametrize("algo", [name for name, sort in arcsort.ALGORITHMS.items() if sort.compiled])
-def test_a_compiled_sort_command_also_loads_the_loader(algo):
-    # the loader, ctypes and array, and still no hashlib, argparse, bench or datagen
+COMPILED = [name for name, sort in arcsort.ALGORITHMS.items() if sort.compiled]
+# the fewest keys whose n(n-1)/2 alone reaches the load charge
+LOADING_N = next(n for n in itertools.count(2) if n * (n - 1) // 2 >= _compiled.LOAD_AT)
+
+
+@pytest.mark.parametrize("algo", COMPILED)
+def test_a_small_compiled_sort_command_loads_the_loader_but_not_ctypes(algo):
+    # three keys charge 3, far below the load charge: the sort runs pure
     stdin = b"349\n34\n-72\n"
-    assert sort_loads_off_path("--algo", algo, "-", stdin=stdin) == {"ctypes"}
+    assert sort_loads_off_path("--algo", algo, "-", stdin=stdin) == set()
     loaded = imported("-m", "arcsort", "sort", "--algo", algo, "-", stdin=stdin)
     package = {m for m in loaded if m == "arcsort" or m.startswith("arcsort.")}
     assert package == {"arcsort", "arcsort.cli", "arcsort.sorts", "arcsort._compiled"}
-    assert "array" in loaded
+    assert {"ctypes", "array"} & loaded == set()
+
+
+@needs_cc  # without a library to call, the sort never imports array
+@pytest.mark.parametrize("algo", COMPILED)
+def test_a_compiled_sort_command_over_the_load_charge_loads_ctypes(algo):
+    # ctypes and array, and still no hashlib, argparse, bench or datagen
+    stdin = "".join(f"{v}\n" for v in range(LOADING_N, 0, -1)).encode()
+    assert sort_loads_off_path("--algo", algo, "-", stdin=stdin) == {"ctypes"}
+    assert "array" in imported("-m", "arcsort", "sort", "--algo", algo, "-", stdin=stdin)
+
+
+def test_a_small_sort_without_cc_runs_pure_and_leaves_no_cache(tmp_path):
+    args = ("-m", "arcsort", "sort", "--algo", "arc", "--metrics", "-")
+    stdin = b"349\n34\n-72\n22\n14\n-1\n"
+    want = python(*args, stdin=stdin)
+    assert want.returncode == 0, want.stderr
+    # no cc on PATH and an empty cache: the loader would spawn a cc that is not there
+    proc = python("-X", "importtime", *args, stdin=stdin, PATH=str(tmp_path), XDG_CACHE_HOME=str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stderr.decode().splitlines()
+    assert proc.stdout == want.stdout
+    assert [line for line in lines if not line.startswith("import time:")] == want.stderr.decode().splitlines()
+    assert not any(line.rpartition("|")[2].strip() == "ctypes" for line in lines)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_the_loader_imports_no_typing():
+    # -S: on some hosts a site-packages .pth imports typing before any test code runs
+    code = "import sys, arcsort._compiled; print(sorted({'typing', 're'} & set(sys.modules)))"
+    proc = python("-S", "-c", code)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"[]\n", b"")
 
 
 def test_cli_module_run_as_a_script_only_imports_itself():
