@@ -3,8 +3,10 @@
 ``CONTRACTS`` is the one place that states each sort's facts, keyed by its
 ``ALGORITHMS`` name: its index loop in ``tests/oracles.py`` as a sorted
 copy and a ``SortMetrics`` (insertion sort reports writes, the others
-swaps), its comparison law from the input alone, the containers it takes
-besides a list, and whether it sorts in place or returns a new list.
+swaps), its comparison law from the input alone, whether it swaps at most
+once a pass, the containers it takes besides a list, and whether it sorts
+in place or returns a new list.  ``INPUTS`` are a few fixed inputs that
+every backend must sort as its index loop does.
 ``PARAMS`` lists every sort once for each backend it has, as
 ``(backend, name)``: ``"pure"`` for every sort, and ``"c"``, which needs a
 compiler, for a sort with ``.compiled`` set.  A param's id is the sort's
@@ -27,6 +29,7 @@ into ints.
 from __future__ import annotations
 
 import enum
+import random
 import shutil
 import tempfile
 from collections import deque
@@ -66,6 +69,7 @@ def oracle(reference, moves: str = "swaps"):
 class Contract(NamedTuple):
     oracle: Callable[[list[int]], tuple[list[int], SortMetrics]]
     law: Callable[[list[int]], int]  # comparisons, from the input alone
+    one_swap_a_pass: bool  # so swaps <= max(n - 1, 0)
     containers: tuple  # what it takes besides a list, and sorts as that list
     in_place: bool  # sorts its data and returns it; else returns a new list
 
@@ -75,21 +79,24 @@ CONTRACTS = {
     "arc": Contract(
         oracle(reference_arc),
         lambda values: sum(pair_comparisons(len(b)) for b in reference_buckets(values).values()),
+        True,
         (deque, tuple, iter),
         False,
     ),
     "enhanced-selection": Contract(
         oracle(reference_enhanced_selection), lambda values: pair_comparisons(len(values)),
-        (deque,), True,
+        True, (deque,), True,
     ),
     "selection": Contract(
-        oracle(reference_selection), lambda values: pair_comparisons(len(values)), (deque,), True
+        oracle(reference_selection), lambda values: pair_comparisons(len(values)),
+        True, (deque,), True,
     ),
     "insertion": Contract(
-        oracle(reference_insertion, "writes"), insertion_comparisons, (deque,), True
+        oracle(reference_insertion, "writes"), insertion_comparisons, False, (deque,), True
     ),
     "bubble": Contract(
-        oracle(reference_bubble), lambda values: bubble_count_laws(values)[0], (deque,), True
+        oracle(reference_bubble), lambda values: bubble_count_laws(values)[0],
+        False, (deque,), True,
     ),
 }
 
@@ -105,13 +112,33 @@ PARAMS = [
 ]
 
 
+# short lists, the int64 ends, ties, and longer random lists of small and of
+# full-range keys
+_rng = random.Random(20140609)
+INPUTS = [
+    [],
+    [7],
+    [-(2**63)],
+    [2, 1],
+    [349, 34, -72, 22, 14, -1],
+    [5, 5, 5, 1, 5],
+    [2**63 - 1, -(2**63), 0, 10**18, -1, 9],
+    [_rng.randint(-40, 40) for _ in range(60)],
+    [_rng.randint(-(2**63), 2**63 - 1) for _ in range(45)],
+]
+
+
 def assert_is_the_index_loop(run, name: str, values: list[int]) -> None:
     """``run``, the sort ``name`` on some backend, gives the result and counts of
     its index loop, adds them onto what the accumulator holds, sorts in place or
-    returns a new list as ``CONTRACTS`` says, and obeys its comparison law."""
+    returns a new list as ``CONTRACTS`` says, and obeys its comparison law and,
+    where ``CONTRACTS`` says so, the bound of one swap a pass."""
     contract = CONTRACTS[name]
     want, counts = contract.oracle(values)
+    assert want == sorted(values)
     assert counts.comparisons == contract.law(values)
+    if contract.one_swap_a_pass:
+        assert counts.swaps <= max(len(values) - 1, 0)
     data = list(values)
     held = SortMetrics(1, 2, 3)
     out = run(data, held)

@@ -109,10 +109,6 @@ def test_arc_sort_empty():
     assert arc_sort([]) == []
 
 
-def test_arc_sort_metrics_optional():
-    assert arc_sort([3, 1, 2]) == [1, 2, 3]
-
-
 @pytest.mark.parametrize("value", [2**63, 10**19, 10**40, -(2**63) - 1, -(10**40)])
 def test_distribute_rejects_keys_outside_int64(value):
     with pytest.raises(OverflowError, match=str(value)):

@@ -1,23 +1,19 @@
-"""The calling contract of every sort, on every backend it has, and the loader.
+"""Which backend runs, and the loader that builds the C twins.
 
-Each test of a per-sort contract runs over ``backends.PARAMS``, every
-sort on its pure path and, where ``.compiled`` is set, on its C twin, and
-reads what the sort must do from ``backends.CONTRACTS``.  Here: the result
-and the counts are those of the sort's index loop, counts add onto
-whatever the accumulator already holds, an in-place sort returns its data
-and ``arc_sort`` leaves its input alone, every result value is a plain
-``int``, and where the twin cannot be built or loaded, the pure path
-runs.  A process loads the library at the call that brings its pure
-calls' n(n-1)/2 charges to ``_compiled.LOAD_AT``, and runs C at every
-size once ``kernels`` has run.  The loader builds once, caches the build in the user cache
-directory (never one relative to the working directory) and reuses it;
-a failed build or load leaves nothing there.
+Where the twin cannot be built or loaded, every sort runs its pure path
+and is still its index loop on ``backends.INPUTS``.  A process loads the
+library at the call that brings its pure calls' n(n-1)/2 charges to
+``_compiled.LOAD_AT``, and runs C at every size once ``kernels`` has run.
+The loader builds once, caches the build in the user cache directory
+(never one relative to the working directory) and reuses it; a failed
+build or load leaves nothing there.  A C call that cannot allocate raises
+``MemoryError`` and sorts nothing.  That each backend is its sort's index
+loop is ``test_properties.py::test_every_backend_equals_the_index_loop``.
 """
 
 from __future__ import annotations
 
 import os
-import random
 import subprocess
 import sys
 from array import array
@@ -31,28 +27,7 @@ import arcsort
 from arcsort import ALGORITHMS, SortMetrics, arc_sort
 from arcsort import _compiled
 from arcsort._compiled import kernels
-from backends import PARAMS, assert_is_the_index_loop, needs_cc, no_compiler, on
-
-_rng = random.Random(20140609)
-INPUTS = [
-    [],
-    [7],
-    [-(2**63)],
-    [2, 1],
-    [349, 34, -72, 22, 14, -1],
-    [5, 5, 5, 1, 5],
-    [2**63 - 1, -(2**63), 0, 10**18, -1, 9],
-    [_rng.randint(-40, 40) for _ in range(60)],
-    [_rng.randint(-(2**63), 2**63 - 1) for _ in range(45)],
-]
-
-
-# Each public sort checks the keys, defaults the metrics and runs its pure
-# kernel or its C twin; on either backend it is the sort's index loop.
-@pytest.mark.parametrize("backend, name", PARAMS)
-@pytest.mark.parametrize("values", INPUTS, ids=lambda v: f"n{len(v)}")
-def test_wrapper_equals_pure_path(backend, name, values):
-    assert_is_the_index_loop(on(backend, name), name, values)
+from backends import INPUTS, assert_is_the_index_loop, needs_cc, no_compiler
 
 
 def test_import_leaves_numpy_unloaded():

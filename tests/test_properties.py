@@ -4,7 +4,6 @@ index-loop parity of every sort on every backend of `backends.PARAMS`."""
 from __future__ import annotations
 
 import random
-from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -19,19 +18,11 @@ from arcsort import (
     enhanced_selection_sort,
     generate,
     insertion_sort,
-    selection_sort,
 )
 from arcsort.bench import ALGORITHMS
 from arcsort.sorts import INT64_MAX, INT64_MIN, _BLOCK
-from backends import CONTRACTS, PARAMS, assert_is_the_index_loop, on, pure_path
-from oracles import (
-    bubble_count_laws,
-    pair_comparisons,
-    reference_arc,
-    reference_bubble,
-    reference_digit_class,
-    reference_enhanced_selection,
-)
+from backends import INPUTS, PARAMS, assert_is_the_index_loop, on, pure_path
+from oracles import bubble_count_laws, reference_bubble, reference_digit_class
 
 int64s = st.integers(min_value=-(2**63), max_value=2**63 - 1)
 small_ints = st.integers(min_value=-10_000, max_value=10_000)
@@ -66,23 +57,15 @@ BLOCK_EXAMPLES = [
 ]
 
 
-def with_block_examples(test):
-    for values in BLOCK_EXAMPLES:
-        test = example(values=values)(test)
-    return test
+def with_examples(*inputs):
+    """The test with each list of ``inputs`` as an explicit example."""
 
+    def add(test):
+        for values in inputs:
+            test = example(values=values)(test)
+        return test
 
-@pytest.mark.parametrize("backend, name", PARAMS)
-@settings(deadline=None, max_examples=120)
-@given(values=st.one_of(full_range_lists, dup_lists))
-def test_sorts_match_oracle_and_preserve_multiset(backend, name, values):
-    metrics = SortMetrics()
-    data = on(backend, name)(list(values), metrics)
-    assert data == sorted(values)
-    assert Counter(data) == Counter(values)
-    assert metrics.comparisons >= 0
-    assert metrics.swaps >= 0
-    assert metrics.writes >= 0
+    return add
 
 
 @pytest.mark.parametrize("backend, name", PARAMS)
@@ -93,16 +76,6 @@ def test_sorts_are_deterministic(backend, name, values):
     ma, mb = SortMetrics(), SortMetrics()
     assert run(list(values), ma) == run(list(values), mb)
     assert ma == mb
-
-
-@pytest.mark.parametrize("sort", [enhanced_selection_sort, selection_sort])
-@settings(deadline=None, max_examples=100)
-@given(values=st.one_of(full_range_lists, dup_lists))
-def test_selection_family_comparison_law(sort, values):
-    metrics = SortMetrics()
-    sort(list(values), metrics)
-    assert metrics.comparisons == pair_comparisons(len(values))
-    assert metrics.swaps <= max(len(values) - 1, 0)
 
 
 @settings(deadline=None, max_examples=60)
@@ -123,60 +96,11 @@ def test_insertion_is_linear_on_sorted_input(values):
     assert metrics.comparisons == max(len(data) - 1, 0)
 
 
-@settings(deadline=None, max_examples=100)
-@given(values=st.lists(st.integers(min_value=-200, max_value=200), max_size=80))
-def test_enhanced_selection_counts_match_recursive_reference(values):
-    expected_sorted, expected_cmp, expected_swaps = reference_enhanced_selection(values)
-    data = list(values)
-    metrics = SortMetrics()
-    enhanced_selection_sort(data, metrics)
-    assert data == expected_sorted
-    assert metrics.comparisons == expected_cmp
-    assert metrics.swaps == expected_swaps
-
-
-# the sorts whose kernels keep their unsorted part in blocks
-SELECTION_FAMILY = ["enhanced-selection", "selection", "arc"]
-
-
-@pytest.mark.parametrize("name", SELECTION_FAMILY)
-@with_block_examples
-@settings(deadline=None, max_examples=150)
-@given(values=st.one_of(tie_lists, wide_lists, block_lists()))
-def test_selection_sorts_equal_reference(name, values):
-    expected_sorted, expected_metrics = CONTRACTS[name].oracle(values)
-    metrics = SortMetrics()
-    assert ALGORITHMS[name](list(values), metrics) == expected_sorted
-    assert metrics == expected_metrics
-
-
-@pytest.mark.parametrize("name", SELECTION_FAMILY)
-@with_block_examples
-@settings(deadline=None, max_examples=60)
-@given(values=st.one_of(tie_lists, wide_lists, block_lists()))
-def test_selection_sorts_accumulate_and_accept_no_metrics(name, values):
-    run = ALGORITHMS[name]
-    expected_sorted, expected = CONTRACTS[name].oracle(values)
-    assert run(list(values), None) == expected_sorted
-    metrics = SortMetrics(comparisons=7, swaps=5, writes=3)
-    assert run(list(values), metrics) == expected_sorted
-    assert metrics == SortMetrics(7 + expected.comparisons, 5 + expected.swaps, 3)
-
-
 # ties and wide values, plus monotone runs: one pass or none to do, and every
 # pass a full shift or a swap per comparison
 index_loop_inputs = st.one_of(tie_lists, wide_lists).flatmap(
     lambda v: st.sampled_from([v, sorted(v), sorted(v, reverse=True)])
 )
-
-
-@settings(deadline=None, max_examples=300)
-@given(values=index_loop_inputs)
-def test_insertion_equals_index_loop_reference(values):
-    expected_sorted, expected_metrics = CONTRACTS["insertion"].oracle(values)
-    metrics = SortMetrics()
-    assert ALGORITHMS["insertion"](list(values), metrics) == expected_sorted
-    assert metrics == expected_metrics
 
 
 class Snapshots(list):
@@ -223,15 +147,12 @@ def assert_bubble_is_the_index_loop(values) -> None:
     assert data.missed == []
 
 
-def small_examples(test):
-    """``test`` with short lists that bubble's pass logic turns on: equal
-    records in [1, 1, 0], and a last pass that swaps nothing in [2, 1, 3]."""
-    for values in ([], [1], [2, 1], [1, 1, 0], [2, 1, 3]):
-        test = example(values=values)(test)
-    return test
+# short lists that bubble's pass logic turns on: equal records in [1, 1, 0],
+# and a last pass that swaps nothing in [2, 1, 3]
+SMALL_EXAMPLES = [[], [1], [2, 1], [1, 1, 0], [2, 1, 3]]
 
 
-@small_examples
+@with_examples(*SMALL_EXAMPLES)
 @settings(deadline=None, max_examples=300)
 @given(values=st.one_of(index_loop_inputs, dup_lists))
 def test_bubble_equals_index_loop_reference(values):
@@ -266,11 +187,9 @@ edge_lists = st.lists(
 
 
 @pytest.mark.parametrize("backend, name", PARAMS)
-@small_examples
-@example(values=DIGIT_EDGES)
-@example(values=DIGIT_EDGES[::-1] * 2)
-@settings(deadline=None, max_examples=150)
-@given(values=st.one_of(edge_lists, index_loop_inputs, dup_lists))
+@with_examples(*SMALL_EXAMPLES, *BLOCK_EXAMPLES, *INPUTS, DIGIT_EDGES, DIGIT_EDGES[::-1] * 2)
+@settings(deadline=None, max_examples=300)
+@given(values=st.one_of(edge_lists, index_loop_inputs, dup_lists, full_range_lists, block_lists()))
 def test_every_backend_equals_the_index_loop(backend, name, values):
     assert_is_the_index_loop(on(backend, name), name, values)
 
@@ -308,22 +227,6 @@ def block_boundary_inputs():
 @pytest.mark.parametrize("values", block_boundary_inputs())
 def test_every_backend_equals_the_index_loop_at_block_boundaries(backend, name, values):
     assert_is_the_index_loop(on(backend, name), name, values)
-
-
-@settings(deadline=None, max_examples=100)
-@given(values=st.one_of(full_range_lists, dup_lists))
-def test_arc_matches_oracle(values):
-    assert arc_sort(values) == sorted(values)
-
-
-@settings(deadline=None, max_examples=100)
-@given(values=st.lists(st.integers(min_value=-10**6, max_value=10**6), max_size=80))
-def test_arc_counts_match_reference(values):
-    expected_sorted, expected_cmp, expected_swaps = reference_arc(values)
-    metrics = SortMetrics()
-    assert arc_sort(values, metrics) == expected_sorted
-    assert metrics.comparisons == expected_cmp
-    assert metrics.swaps == expected_swaps
 
 
 # keys the key rule refuses: outside int64 on either side, a bool, a non-integer
@@ -391,15 +294,6 @@ def test_bucket_ordering_theorem(values):
     occupied = [b for b in table.buckets if b]
     for lower, upper in zip(occupied, occupied[1:]):
         assert max(lower) < min(upper)
-
-
-@settings(deadline=None, max_examples=100)
-@given(values=full_range_lists)
-def test_arc_comparison_decomposition(values):
-    metrics = SortMetrics()
-    arc_sort(values, metrics)
-    expected = sum(pair_comparisons(c) for c in distribute(values).occupancy)
-    assert metrics.comparisons == expected
 
 
 @settings(deadline=None, max_examples=60)

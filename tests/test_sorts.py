@@ -163,12 +163,6 @@ def test_public_sort_keeps_its_surface(sort):
     assert sort.__doc__.splitlines()[0] == DOC_FIRST_LINES[sort.__name__]
 
 
-@pytest.mark.parametrize("backend, name", PARAMS)
-def test_int64_extremes(backend, name):
-    values = [2**63 - 1, -(2**63), 0, 1, -1]
-    assert on(backend, name)(list(values)) == sorted(values)
-
-
 # Any container of CONTRACTS may come in, not only a list: a deque cannot be
 # sliced, and arc_sort takes any iterable.
 @pytest.mark.parametrize("backend, name", PARAMS)
