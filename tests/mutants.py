@@ -44,13 +44,21 @@ COMPILED = "src/arcsort/_compiled.py"
 BENCH = "src/arcsort/bench.py"
 PROPS = "tests/test_properties.py"
 PARITY = f"{PROPS}::test_every_backend_equals_the_index_loop"
-SELECTION = (f"{PARITY}[selection_sort]",)
-ENHANCED = (f"{PARITY}[enhanced_selection_sort]", f"{PARITY}[arc_sort_pure]")
+
+
+def parity(sort: str) -> tuple[str, ...]:
+    """The parity ids of ``sort``: its block examples first, so that under -x a
+    kill there stops the run before hypothesis spends its time shrinking a failure."""
+    return (*(f"{PARITY}_on_fixed_inputs[block{i}-{sort}]" for i in range(5)), f"{PARITY}[{sort}]")
+
+
+SELECTION = parity("selection_sort")
+ENHANCED = (*parity("enhanced_selection_sort"), *parity("arc_sort_pure"))
 BUBBLE = (
     f"{PROPS}::test_bubble_equals_index_loop_reference",
     f"{PROPS}::test_bubble_is_the_index_loop_at_oracle_mix_sizes",
 )
-INSERTION = (f"{PARITY}[insertion_sort]",)
+INSERTION = parity("insertion_sort")
 COMPILED_BUBBLE = (
     f"{PARITY}[bubble_sort]",
     f"{PARITY}_at_oracle_mix_sizes[turtle-512-bubble_sort]",

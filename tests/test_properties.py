@@ -187,10 +187,26 @@ edge_lists = st.lists(
 
 
 @pytest.mark.parametrize("backend, name", PARAMS)
-@with_examples(*SMALL_EXAMPLES, *BLOCK_EXAMPLES, *INPUTS, DIGIT_EDGES, DIGIT_EDGES[::-1] * 2)
+@with_examples(*SMALL_EXAMPLES)
 @settings(deadline=None, max_examples=300)
 @given(values=st.one_of(edge_lists, index_loop_inputs, dup_lists, full_range_lists, block_lists()))
 def test_every_backend_equals_the_index_loop(backend, name, values):
+    assert_is_the_index_loop(on(backend, name), name, values)
+
+
+# the fixed inputs shared with the dispatch tests, the block examples, and the
+# digit-class edges in order and reversed twice, each an id of its own
+FIXED_INPUTS = [
+    *(pytest.param(values, id=f"input{i}") for i, values in enumerate(INPUTS)),
+    *(pytest.param(values, id=f"block{i}") for i, values in enumerate(BLOCK_EXAMPLES)),
+    pytest.param(DIGIT_EDGES, id="digit-edges"),
+    pytest.param(DIGIT_EDGES[::-1] * 2, id="digit-edges-reversed-twice"),
+]
+
+
+@pytest.mark.parametrize("backend, name", PARAMS)
+@pytest.mark.parametrize("values", FIXED_INPUTS)
+def test_every_backend_equals_the_index_loop_on_fixed_inputs(backend, name, values):
     assert_is_the_index_loop(on(backend, name), name, values)
 
 
