@@ -98,7 +98,8 @@ def run_benchmark(
     :class:`BenchmarkError` for unknown algorithm names, a repeated name
     or size, trials < 1, or a run whose output fails verification
     (verification is outside the timed region).  Each dataset is
-    generated once, before the first timed run.
+    generated once, before the compiled twins load and before the first
+    timed run, so a spec that :func:`generate` refuses loads nothing.
     """
     names = list(algorithms)
     unknown = [a for a in names if a not in ALGORITHMS]
@@ -116,13 +117,14 @@ def run_benchmark(
     if warmup < 0:
         raise BenchmarkError(f"warmup must be >= 0, got {warmup}")
 
-    # a compiled twin is built or loaded here, not inside the first timed
-    # sort; getattr, because ALGORITHMS may hold any callable
-    compiled = any(getattr(ALGORITHMS[a], "compiled", False) for a in names)
-    lib = kernels() if compiled else None
     # per size, shared by every algorithm
     seeds = {n: [derive_seed(spec_template.seed, n, t) for t in range(trials)] for n in sizes}
     datasets = {n: [generate(replace(spec_template, n=n, seed=s)) for s in seeds[n]] for n in sizes}
+    # a compiled twin is built or loaded here: after the datasets, so a bad
+    # spec builds nothing, and not inside the first timed sort; getattr,
+    # because ALGORITHMS may hold any callable
+    compiled = any(getattr(ALGORITHMS[a], "compiled", False) for a in names)
+    lib = kernels() if compiled else None
     rows: list[TrialResult] = []
     for n in sizes:
         for name in names:

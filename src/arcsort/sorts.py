@@ -111,7 +111,11 @@ def check_keys(data: MutableSequence) -> None:
                 raise TypeError(f"{x!r} is not an integer key")
             data[i] = x = index(x)
         if not INT64_MIN <= x <= INT64_MAX:
-            raise OverflowError(f"{x} is outside the signed 64-bit range")
+            try:
+                shown = str(x)
+            except ValueError:  # more digits than int-to-str conversion allows
+                shown = f"a {x.bit_length()}-bit {'negative ' if x < 0 else ''}key"
+            raise OverflowError(f"{shown} is outside the signed 64-bit range")
 
 
 def _public(kernel: Callable[[MutableSequence[int], SortMetrics], None], compiled: bool = False):

@@ -23,22 +23,29 @@ cache directory.  That costs a spawn of the missing ``cc`` each time, so
 ``pure_path``, which ``on`` uses, gives the sorts a ``kernels`` that
 finds nothing instead; the loader's own tests take the real path.
 ``Digits`` and ``Index`` are integer-like keys that the key rule turns
-into ints.
+into ints.  ``python`` runs a child interpreter with ``SRC``, the checkout's
+``src``, first on its path: every test that launches one goes through it.
 """
 
 from __future__ import annotations
 
 import enum
+import os
 import random
 import shutil
+import subprocess
+import sys
 import tempfile
+from array import array
 from collections import deque
 from collections.abc import Callable
 from contextlib import contextmanager
+from pathlib import Path
 from typing import NamedTuple
 
 import pytest
 
+import arcsort
 from arcsort import ALGORITHMS, SortMetrics, _compiled
 from arcsort._compiled import kernels
 from oracles import (
@@ -54,6 +61,15 @@ from oracles import (
 )
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+SRC = str(Path(arcsort.__file__).resolve().parent.parent)
+
+
+def python(*args: str, env=None, launcher=(), **kwargs) -> subprocess.CompletedProcess:
+    """Run ``python *args`` in a child, behind ``launcher`` if one is given, with
+    ``env`` added to this environment and ``SRC`` first on its path."""
+    child_env = {**os.environ, **(env or {})}
+    child_env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, child_env.get("PYTHONPATH")]))
+    return subprocess.run([*launcher, sys.executable, *args], env=child_env, **kwargs)
 
 
 def oracle(reference, moves: str = "swaps"):
@@ -74,29 +90,35 @@ class Contract(NamedTuple):
     in_place: bool  # sorts its data and returns it; else returns a new list
 
 
+def int64_array(values) -> array:
+    """``values`` as an ``array('q')``: a mutable sequence with no ``clear()``,
+    whose slice takes only another array."""
+    return array("q", values)
+
+
 # an in-place sort takes any mutable sequence; arc_sort takes any iterable
 CONTRACTS = {
     "arc": Contract(
         oracle(reference_arc),
         lambda values: sum(pair_comparisons(len(b)) for b in reference_buckets(values).values()),
         True,
-        (deque, tuple, iter),
+        (deque, int64_array, tuple, iter),
         False,
     ),
     "enhanced-selection": Contract(
         oracle(reference_enhanced_selection), lambda values: pair_comparisons(len(values)),
-        True, (deque,), True,
+        True, (deque, int64_array), True,
     ),
     "selection": Contract(
         oracle(reference_selection), lambda values: pair_comparisons(len(values)),
-        True, (deque,), True,
+        True, (deque, int64_array), True,
     ),
     "insertion": Contract(
-        oracle(reference_insertion, "writes"), insertion_comparisons, False, (deque,), True
+        oracle(reference_insertion, "writes"), insertion_comparisons, False, (deque, int64_array), True
     ),
     "bubble": Contract(
         oracle(reference_bubble), lambda values: bubble_count_laws(values)[0],
-        False, (deque,), True,
+        False, (deque, int64_array), True,
     ),
 }
 

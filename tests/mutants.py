@@ -147,6 +147,10 @@ MUTANTS = [
     Mutant("compiled arc: a failed allocation falls back to the pure path", COMPILED,
            "        raise MemoryError(", "        return None\n        raise MemoryError(",
            ("tests/test_dispatch.py::test_a_failed_allocation_raises_memory_error_and_sorts_nothing",)),
+    Mutant("compiled bubble: written back through clear() and extend()", SORTS,
+           "                    for i, x in enumerate(keys):\n                        data[i] = x\n",
+           "                    data.clear()\n                    data.extend(keys)\n",
+           ("tests/test_sorts.py::test_sorts_a_deque_as_they_sort_a_list[bubble_sort]",)),
     Mutant("compiled bubble: the last key not written back", SORTS,
            "data[:] = keys.tolist()", "data[:-1] = keys.tolist()[:-1]", COMPILED_BUBBLE),
     Mutant("loader: a fresh build published before it loads", COMPILED,
@@ -169,6 +173,17 @@ MUTANTS = [
     Mutant("load rule: kernels() leaves the gate shut", COMPILED,
            "_loaded = True", "_loaded = False",
            ("tests/test_dispatch.py::test_after_a_direct_load_every_call_runs_c",)),
+    Mutant("bench: the kernels loaded before the datasets are generated", BENCH,
+           "    datasets = {n: [generate(replace(spec_template, n=n, seed=s)) for s in seeds[n]] for n in sizes}\n"
+           "    # a compiled twin is built or loaded here: after the datasets, so a bad\n"
+           "    # spec builds nothing, and not inside the first timed sort; getattr,\n"
+           "    # because ALGORITHMS may hold any callable\n"
+           "    compiled = any(getattr(ALGORITHMS[a], \"compiled\", False) for a in names)\n"
+           "    lib = kernels() if compiled else None\n",
+           "    compiled = any(getattr(ALGORITHMS[a], \"compiled\", False) for a in names)\n"
+           "    lib = kernels() if compiled else None\n"
+           "    datasets = {n: [generate(replace(spec_template, n=n, seed=s)) for s in seeds[n]] for n in sizes}\n",
+           ("tests/test_bench.py::test_a_refused_spec_loads_no_kernels",)),
     Mutant("bench: the backend label ignores the grid", BENCH,
            "lib = kernels() if compiled else None", "lib = kernels()",
            ("tests/test_bench.py::test_a_grid_without_a_compiled_sort_is_pure_and_builds_nothing",)),
@@ -187,13 +202,19 @@ MUTANTS = [
     Mutant("check_keys: bool accepted", SORTS,
            "if isinstance(x, bool) or not hasattr", "if not hasattr",
            ("tests/test_sorts.py::test_classic_sorts_reject_non_integer_keys",
-            "tests/test_buckets.py::test_arc_sort_rejects_non_integer_keys")),
+            "tests/test_buckets.py::test_distribute_rejects_non_integer_keys")),
+    Mutant("check_keys: a key past the digit limit printed, not named by its size", SORTS,
+           "            try:\n                shown = str(x)\n            except ValueError:"
+           "  # more digits than int-to-str conversion allows\n"
+           "                shown = f\"a {x.bit_length()}-bit {'negative ' if x < 0 else ''}key\"\n",
+           "            shown = str(x)\n",
+           ("tests/test_sorts.py::test_keys_past_the_digit_limit_are_named_by_their_size",)),
     Mutant("arc_sort: buckets sorted by the public sort, keys checked again", SORTS,
            "enhanced_selection_sort.kernel(bucket, metrics)", "enhanced_selection_sort(bucket, metrics)",
            ("tests/test_sorts.py::test_classic_sorts_check_keys_once[arc_sort_pure]",)),
     Mutant("_read_lines: values cut to 19 digits", CLI,
            "digits[:20]", "digits[:19]",
-           ("tests/test_cli.py::test_sort_very_long_value_is_out_of_range_and_not_printed",)),
+           ("tests/test_cli.py::test_sort_file",)),
 ]
 
 

@@ -11,6 +11,7 @@ from arcsort import (
     ALGORITHMS,
     BenchmarkError,
     BenchmarkReport,
+    DatasetError,
     DatasetSpec,
     ReportMeta,
     SortMetrics,
@@ -178,6 +179,14 @@ def test_a_grid_without_a_compiled_sort_is_pure_and_builds_nothing(monkeypatch, 
     finally:
         kernels.cache_clear()  # the next call loads again, in the real environment
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_refused_spec_loads_no_kernels(monkeypatch):
+    loads = []
+    monkeypatch.setattr(bench, "kernels", lambda: loads.append("kernels"))
+    with pytest.raises(DatasetError):
+        run_benchmark(["arc"], [4], DatasetSpec("bogus", 0, 1))
+    assert loads == []
 
 
 @pytest.mark.parametrize("name", [name for name, sort in ALGORITHMS.items() if sort.compiled])

@@ -21,34 +21,82 @@ from arcsort import ALGORITHMS, DatasetSpec, cli, generate
 from arcsort.bench import report_from_csv, report_to_csv
 from arcsort.cli import _sort_args, main
 from arcsort.commands import build_parser
-
-SRC = str(Path(arcsort.__file__).resolve().parent.parent)
-
-
-def run_arcsort(argv, *, env=None, launcher=(), **kwargs) -> subprocess.CompletedProcess:
-    """Run ``python -m arcsort *argv`` in a child, behind ``launcher`` if one is
-    given, with ``env`` added to this environment and ``SRC`` first on its path."""
-    child_env = {**os.environ, **(env or {})}
-    child_env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, child_env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [*launcher, sys.executable, "-m", "arcsort", *argv], env=child_env, **kwargs
-    )
-
+from backends import python
 
 GOLDEN = "349\n34\n-72\n22\n14\n-1\n"
 GOLDEN_SORTED = "-72\n-1\n14\n22\n34\n349\n"
 
 
-def write(tmp_path, name, text):
-    path = tmp_path / name
-    path.write_text(text)
-    return str(path)
+def error(message: str) -> str:
+    return f"arcsort: error: {message}\n"
 
 
-def test_sort_golden_file(tmp_path, capsys):
-    path = write(tmp_path, "in.txt", GOLDEN)
-    assert main(["sort", "--algo", "arc", path]) == 0
-    assert capsys.readouterr().out == GOLDEN_SORTED
+# ``arcsort sort --algo OPTIONS FILE`` with FILE holding the input bytes:
+# id -> (OPTIONS, input, exit code, stdout, stderr)
+SORT_FILE = {
+    **{f"golden-{algo}": (algo, GOLDEN.encode(), 0, GOLDEN_SORTED, "") for algo in ALGORITHMS},
+    "metrics": ("arc --metrics", GOLDEN.encode(), 0, GOLDEN_SORTED, "comparisons=4 swaps=1 writes=0\n"),
+    "metrics-selection": ("selection --metrics", b"3\n1\n2\n", 0, "1\n2\n3\n", "comparisons=3 swaps=2 writes=0\n"),
+    "empty": ("arc", b"", 0, "", ""),
+    "blank-lines": ("bubble", b"3\n\n  \n1\n2\n", 0, "1\n2\n3\n", ""),
+    "parse-error": ("arc", b"abc\n", 3, "", error("line 1: 'abc' is not an integer")),
+    # nothing is printed before the last line is read
+    "late-parse-error": ("arc", b"1\n2\nxyz\n", 3, "", error("line 3: 'xyz' is not an integer")),
+    "non-ascii-byte": ("arc", b"1\n\xe9\n", 3, "", error(r"line 2: '\\xe9' is not an integer")),
+    # \f is whitespace inside a line, not a line break: "foo" is on line 3
+    "form-feed": ("arc", b"1\n\f2\nfoo\n", 3, "", error("line 3: 'foo' is not an integer")),
+    "cr": ("insertion", b"3\r1\r\n2\n", 0, "1\n2\n3\n", ""),
+    "crlf": ("insertion", b"3\r\n1\r2", 0, "1\n2\n3\n", ""),
+    "int64-bounds": (
+        "insertion", f"{2**63 - 1}\n{-(2**63)}\n".encode(), 0, f"{-(2**63)}\n{2**63 - 1}\n", "",
+    ),
+    "out-of-range": (
+        "arc", f"{2**63}\n".encode(), 3, "", error(f"line 1: {2**63} is outside the 64-bit range"),
+    ),
+    "out-of-range-names-its-line": (
+        "arc", f"1\n\n{-(2**63) - 1}\n{2**63}\n".encode(), 3, "",
+        error(f"line 3: {-(2**63) - 1} is outside the 64-bit range"),
+    ),
+    # int() reads "1_000" as 1000; a data file should not
+    **{
+        f"digit-separator{token}": (
+            "arc", f"5\n{token}\n".encode(), 3, "", error(f"line 2: {token!r} is not an integer"),
+        )
+        for token in ["1_000", "-1_0", "_7", "7_"]
+    },
+    "sign-and-leading-zeros": ("arc", b"+7\n007\n-0\n-08\n \t12 \n+0\n", 0, "-8\n0\n0\n7\n7\n12\n", ""),
+    # int() refuses more than 4,300 digits, leading zeros included
+    "leading-zeros-past-the-int-digit-limit": (
+        "arc", b"0" * 4400 + b"7\n-" + b"0" * 5000 + b"3\n+" + b"0" * 4400 + b"\n", 0, "-3\n0\n7\n", "",
+    ),
+    "out-of-range-after-leading-zeros": (
+        "arc", b"1\n" + b"0" * 4400 + b"%d\n" % 2**63, 3, "",
+        error(f"line 2: {2**63} is outside the 64-bit range"),
+    ),
+    # a value of 20 digits or more is named by its length, not printed; one
+    # whose first 19 digits fit int64 must not be cut to 19
+    **{
+        f"long-{name}": (
+            "arc", b"1\n" + token + b"\n", 3, "",
+            error(f"line 2: a {digits}-digit value is outside the 64-bit range"),
+        )
+        for name, token, digits in [
+            ("20", b"-00" + b"9" * 20, 20),
+            ("5000", b"-00" + b"9" * 5000, 5000),
+            ("20-prefix-fits-plus", b"+1" + b"0" * 19, 20),
+            ("20-prefix-fits-minus", b"-1" + b"0" * 19, 20),
+        ]
+    },
+}
+
+
+@pytest.mark.parametrize("case", SORT_FILE)
+def test_sort_file(tmp_path, capsys, case):
+    options, data, code, stdout, stderr = SORT_FILE[case]
+    path = tmp_path / "in.txt"
+    path.write_bytes(data)
+    assert main(["sort", "--algo", *options.split(), str(path)]) == code
+    assert capsys.readouterr() == (stdout, stderr)
 
 
 def fake_stdin(data: bytes) -> io.TextIOWrapper:
@@ -71,8 +119,8 @@ def test_sort_stdin_non_ascii_byte_names_line(monkeypatch, capsys):
 
 
 def test_sort_stdin_strict_codec_process_exits_3():
-    proc = run_arcsort(
-        ["sort", "--algo", "arc", "-"],
+    proc = python(
+        "-m", "arcsort", "sort", "--algo", "arc", "-",
         input=b"1\n\xe9\n",
         capture_output=True,
         env={"PYTHONIOENCODING": "utf-8:strict"},
@@ -83,53 +131,6 @@ def test_sort_stdin_strict_codec_process_exits_3():
     assert b"Traceback" not in proc.stderr
 
 
-def test_sort_empty_file(tmp_path, capsys):
-    path = write(tmp_path, "empty.txt", "")
-    assert main(["sort", "--algo", "arc", path]) == 0
-    assert capsys.readouterr().out == ""
-
-
-def test_sort_skips_blank_lines(tmp_path, capsys):
-    path = write(tmp_path, "in.txt", "3\n\n  \n1\n2\n")
-    assert main(["sort", "--algo", "bubble", path]) == 0
-    assert capsys.readouterr().out == "1\n2\n3\n"
-
-
-def test_sort_parse_error_names_line(tmp_path, capsys):
-    path = write(tmp_path, "bad.txt", "abc\n")
-    assert main(["sort", "--algo", "arc", path]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "line 1" in captured.err
-
-
-def test_sort_no_partial_output_on_late_error(tmp_path, capsys):
-    path = write(tmp_path, "bad.txt", "1\n2\nxyz\n")
-    assert main(["sort", "--algo", "arc", path]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "line 3" in captured.err
-
-
-def test_sort_non_ascii_byte_names_line(tmp_path, capsys):
-    path = tmp_path / "latin1.txt"
-    path.write_bytes(b"1\n\xe9\n")
-    assert main(["sort", "--algo", "arc", str(path)]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "line 2" in captured.err
-
-
-def test_sort_line_numbers_count_newlines_only(tmp_path, capsys):
-    # \f is whitespace inside a line, not a line break: "foo" is on line 3
-    path = tmp_path / "ff.txt"
-    path.write_bytes(b"1\n\f2\nfoo\n")
-    assert main(["sort", "--algo", "arc", str(path)]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "line 3" in captured.err
-
-
 @pytest.mark.parametrize("sep", [b"\x1c", b"\x1d", b"\x1e", b"\v"])
 def test_sort_does_not_split_on_non_newline_separators(monkeypatch, capsys, sep):
     monkeypatch.setattr(sys, "stdin", fake_stdin(b"1\n2" + sep + b"3\n"))
@@ -137,83 +138,6 @@ def test_sort_does_not_split_on_non_newline_separators(monkeypatch, capsys, sep)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "line 2" in captured.err
-
-
-@pytest.mark.parametrize("text", [b"3\r1\r\n2\n", b"3\r\n1\r2"])
-def test_sort_accepts_cr_and_crlf_line_ends(tmp_path, capsys, text):
-    path = tmp_path / "cr.txt"
-    path.write_bytes(text)
-    assert main(["sort", "--algo", "insertion", str(path)]) == 0
-    assert capsys.readouterr().out == "1\n2\n3\n"
-
-
-def test_sort_rejects_out_of_range(tmp_path, capsys):
-    path = write(tmp_path, "big.txt", f"{2**63}\n")
-    assert main(["sort", "--algo", "arc", path]) == 3
-    assert "line 1" in capsys.readouterr().err
-
-
-def test_sort_accepts_int64_bounds(tmp_path, capsys):
-    path = write(tmp_path, "edge.txt", f"{2**63 - 1}\n{-(2**63)}\n")
-    assert main(["sort", "--algo", "insertion", path]) == 0
-    assert capsys.readouterr().out == f"{-(2**63)}\n{2**63 - 1}\n"
-
-
-def test_sort_out_of_range_names_its_line(tmp_path, capsys):
-    path = write(tmp_path, "big.txt", f"1\n\n{-(2**63) - 1}\n{2**63}\n")
-    assert main(["sort", "--algo", "arc", path]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert f"line 3: {-(2**63) - 1} is outside the 64-bit range" in captured.err
-
-
-@pytest.mark.parametrize("token", ["1_000", "-1_0", "_7", "7_"])
-def test_sort_rejects_digit_separators(tmp_path, capsys, token):
-    # int() reads "1_000" as 1000; a data file should not
-    path = write(tmp_path, "sep.txt", f"5\n{token}\n")
-    assert main(["sort", "--algo", "arc", path]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert f"line 2: {token!r} is not an integer" in captured.err
-
-
-def test_sort_accepts_sign_and_leading_zeros(tmp_path, capsys):
-    path = write(tmp_path, "signs.txt", "+7\n007\n-0\n-08\n \t12 \n+0\n")
-    assert main(["sort", "--algo", "arc", path]) == 0
-    assert capsys.readouterr().out == "-8\n0\n0\n7\n7\n12\n"
-
-
-def test_sort_accepts_leading_zeros_past_the_int_digit_limit(tmp_path, capsys):
-    # int() refuses more than 4,300 digits, leading zeros included
-    path = write(tmp_path, "zeros.txt", "0" * 4400 + "7\n-" + "0" * 5000 + "3\n+" + "0" * 4400 + "\n")
-    assert main(["sort", "--algo", "arc", path]) == 0
-    assert capsys.readouterr().out == "-3\n0\n7\n"
-
-
-def test_sort_out_of_range_after_leading_zeros_names_its_value(tmp_path, capsys):
-    path = write(tmp_path, "big.txt", "1\n" + "0" * 4400 + f"{2**63}\n")
-    assert main(["sort", "--algo", "arc", path]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"arcsort: error: line 2: {2**63} is outside the 64-bit range\n"
-
-
-@pytest.mark.parametrize(
-    "token, digits",
-    [
-        pytest.param("-00" + "9" * 20, 20, id="20"),
-        pytest.param("-00" + "9" * 5000, 5000, id="5000"),
-        # 20 digits whose first 19 fit int64: the parser must not cut them to 19
-        pytest.param("+1" + "0" * 19, 20, id="20-prefix-fits-plus"),
-        pytest.param("-1" + "0" * 19, 20, id="20-prefix-fits-minus"),
-    ],
-)
-def test_sort_very_long_value_is_out_of_range_and_not_printed(tmp_path, capsys, token, digits):
-    path = write(tmp_path, "long.txt", "1\n" + token + "\n")
-    assert main(["sort", "--algo", "arc", path]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"arcsort: error: line 2: a {digits}-digit value is outside the 64-bit range\n"
 
 
 INT64S = st.integers(-(2**63), 2**63 - 1) | st.sampled_from([-(2**63), 2**63 - 1, 0])
@@ -248,28 +172,6 @@ def test_fast_parse_and_format_agree_with_the_line_parser(case):
 def test_sort_unreadable_file(tmp_path, capsys):
     assert main(["sort", "--algo", "arc", str(tmp_path / "missing.txt")]) == 2
     assert capsys.readouterr().out == ""
-
-
-def test_sort_metrics_flag_goes_to_stderr(tmp_path, capsys):
-    path = write(tmp_path, "in.txt", "3\n1\n2\n")
-    assert main(["sort", "--algo", "selection", "--metrics", path]) == 0
-    captured = capsys.readouterr()
-    assert captured.out == "1\n2\n3\n"
-    assert "comparisons=3" in captured.err
-
-
-def test_sort_metrics_line_is_exact(tmp_path, capsys):
-    assert main(["sort", "--algo", "arc", "--metrics", write(tmp_path, "in.txt", GOLDEN)]) == 0
-    assert capsys.readouterr().err == "comparisons=4 swaps=1 writes=0\n"
-
-
-def test_all_algorithms_agree_byte_for_byte(tmp_path, capsys):
-    path = write(tmp_path, "in.txt", GOLDEN)
-    outputs = set()
-    for algo in ("arc", "enhanced-selection", "selection", "insertion", "bubble"):
-        assert main(["sort", "--algo", algo, path]) == 0
-        outputs.add(capsys.readouterr().out)
-    assert outputs == {GOLDEN_SORTED}
 
 
 def test_gen_writes_n_lines(tmp_path):
@@ -417,8 +319,8 @@ def test_empty_output_path_exit_2_and_leaves_nothing(tmp_path, monkeypatch, caps
 def test_bench_csv_to_full_stdout_leaves_no_plot(tmp_path, full_stream):
     plot = tmp_path / "p.tsv"  # the CSV goes to stdout, so the summary goes to stderr
     with open("/dev/full", "wb") as full:
-        proc = run_arcsort(
-            [*BENCH_TINY, "-o", "-", "--plot", str(plot)],
+        proc = python(
+            "-m", "arcsort", *BENCH_TINY, "-o", "-", "--plot", str(plot),
             stdout=full if full_stream == "stdout" else subprocess.PIPE,
             stderr=full if full_stream == "stderr" else subprocess.PIPE,
         )
@@ -429,7 +331,7 @@ def test_bench_csv_to_full_stdout_leaves_no_plot(tmp_path, full_stream):
 
 
 def test_unwritable_output_process_prints_no_traceback(tmp_path):
-    proc = run_arcsort([*UNWRITABLE[0], str(tmp_path / "missing" / "x")], capture_output=True)
+    proc = python("-m", "arcsort", *UNWRITABLE[0], str(tmp_path / "missing" / "x"), capture_output=True)
     assert proc.returncode == 2
     assert proc.stderr.startswith(b"arcsort: error: cannot write")
     assert b"Traceback" not in proc.stderr
@@ -443,8 +345,8 @@ def test_stdout_to_full_device_exit_2(tmp_path, command):
         "bench": [*UNWRITABLE[1], str(tmp_path / "r.csv")],  # only the summary goes to stdout
     }[command]
     with open("/dev/full", "wb") as full:
-        proc = run_arcsort(
-            argv,
+        proc = python(
+            "-m", "arcsort", *argv,
             input=b"3\n1\n",
             stdout=full,
             stderr=subprocess.PIPE,
@@ -472,8 +374,8 @@ CLOSED_STREAM = [
 )
 def test_closed_standard_stream_exit_2(tmp_path, argv, redirect, message):
     (tmp_path / "in.txt").write_text(GOLDEN)
-    proc = run_arcsort(
-        argv,
+    proc = python(
+        "-m", "arcsort", *argv,
         launcher=["sh", "-c", f'exec "$@" {redirect}', "sh"],  # the shell closes the descriptor
         stdout=subprocess.PIPE if redirect == "<&-" else None,
         stderr=subprocess.PIPE,
@@ -496,8 +398,8 @@ def test_closed_standard_stream_exit_2(tmp_path, argv, redirect, message):
 )
 def test_stderr_to_full_device_keeps_exit_code(argv, stdin, code, stdout):
     with open("/dev/full", "wb") as full:
-        proc = run_arcsort(
-            argv,
+        proc = python(
+            "-m", "arcsort", *argv,
             input=stdin,
             stdout=subprocess.PIPE,
             stderr=full,
@@ -580,8 +482,9 @@ def test_bench_single_algo_plot(tmp_path):
 
 
 def test_console_entry_point(tmp_path):
-    path = write(tmp_path, "in.txt", GOLDEN)
-    proc = run_arcsort(["sort", "--algo", "arc", path], capture_output=True, text=True)
+    path = tmp_path / "in.txt"
+    path.write_text(GOLDEN)
+    proc = python("-m", "arcsort", "sort", "--algo", "arc", str(path), capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == GOLDEN_SORTED
 
@@ -696,7 +599,7 @@ USAGE = (
     ids=["bad-choice", "abbreviation", "no-arguments"],
 )
 def test_sort_usage_errors_are_argparses(tmp_path, argv, stderr):
-    proc = run_arcsort(argv, capture_output=True, cwd=tmp_path, env={"COLUMNS": "80"})
+    proc = python("-m", "arcsort", *argv, capture_output=True, cwd=tmp_path, env={"COLUMNS": "80"})
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", stderr)
 
 

@@ -14,8 +14,6 @@ loop is ``test_properties.py::test_every_backend_equals_the_index_loop``.
 from __future__ import annotations
 
 import os
-import subprocess
-import sys
 from array import array
 from ctypes import c_int64, c_void_p
 from pathlib import Path
@@ -23,19 +21,10 @@ from types import SimpleNamespace
 
 import pytest
 
-import arcsort
 from arcsort import ALGORITHMS, SortMetrics, arc_sort
 from arcsort import _compiled
 from arcsort._compiled import kernels
 from backends import INPUTS, assert_is_the_index_loop, needs_cc, no_compiler
-
-
-def test_import_leaves_numpy_unloaded():
-    src = str(Path(arcsort.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, arcsort; sys.exit('numpy' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 @pytest.fixture

@@ -1,18 +1,76 @@
-"""Operation counts frozen across commits.
+"""Outputs and operation counts frozen across commits.
 
-Each entry is ``(comparisons, swaps, writes)`` per trial of
+``EXAMPLES`` holds small inputs, each with its sorted output and every
+sort's ``(comparisons, swaps, writes)``, and runs on every backend of
+``backends.PARAMS``.  ``FROZEN`` holds the counts per trial of
 :func:`arcsort.bench.run_benchmark` with the ``arcsort bench`` defaults
 (5 trials, dataset seeds from :func:`arcsort.bench.derive_seed`), the same
-numbers ``arcsort bench`` prints in its count columns.  A rewrite of any
-sort must reproduce them exactly, ties included.
+numbers ``arcsort bench`` prints in its count columns.  Both were taken
+from the index loops in ``tests/oracles.py``.  A rewrite of any sort must
+reproduce them exactly, ties included.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from arcsort import SortMetrics
 from arcsort.bench import ALGORITHMS, run_benchmark
 from arcsort.datagen import DatasetSpec
+from backends import CONTRACTS, PARAMS, on
+
+SINGLE_BUCKET = [10000 + (i * 7919) % 90000 for i in range(1000)]  # five digits each
+
+# id -> (input, sorted output, each sort's (comparisons, swaps, writes) in
+# ALGORITHMS order: arc, enhanced-selection, selection, insertion, bubble)
+EXAMPLES = {
+    "empty": ([], [], [(0, 0, 0)] * 5),
+    "one": ([5], [5], [(0, 0, 0)] * 5),
+    "two": ([2, 1], [1, 2], [(1, 1, 0), (1, 1, 0), (1, 1, 0), (1, 0, 1), (1, 1, 0)]),
+    # max-selection promotes the earlier of equal keys on `>=`, so it swaps them
+    "tie": ([7, 7], [7, 7], [(1, 1, 0), (1, 1, 0), (1, 0, 0), (1, 0, 0), (1, 0, 0)]),
+    # insertion and bubble make one clean pass; the selection sorts scan it all
+    "sorted": ([1, 2, 3], [1, 2, 3], [(3, 0, 0), (3, 0, 0), (3, 0, 0), (2, 0, 0), (2, 0, 0)]),
+    "rotated": ([3, 1, 2], [1, 2, 3], [(3, 2, 0), (3, 2, 0), (3, 2, 0), (3, 0, 2), (3, 2, 0)]),
+    "reversed": ([3, 2, 1], [1, 2, 3], [(3, 1, 0), (3, 1, 0), (3, 1, 0), (3, 0, 3), (3, 3, 0)]),
+    "all-equal": ([2, 2, 2], [2, 2, 2], [(3, 2, 0), (3, 2, 0), (3, 0, 0), (2, 0, 0), (2, 0, 0)]),
+    "bucket-of-three": (
+        [34, 22, 14], [14, 22, 34], [(3, 1, 0), (3, 1, 0), (3, 1, 0), (3, 0, 3), (3, 3, 0)],
+    ),
+    # the worked example: arc scans a bucket of two keys and one of three
+    "golden": (
+        [349, 34, -72, 22, 14, -1], [-72, -1, 14, 22, 34, 349],
+        [(4, 1, 0), (15, 4, 0), (15, 4, 0), (15, 0, 12), (15, 12, 0)],
+    ),
+    # one key a bucket: arc compares nothing
+    "one-per-bucket": (
+        [5, 50, 500, 5000], [5, 50, 500, 5000],
+        [(0, 0, 0), (6, 0, 0), (6, 0, 0), (3, 0, 0), (3, 0, 0)],
+    ),
+    "increasing-thousand": (
+        list(range(1000)), list(range(1000)),
+        [(408591, 0, 0), (499500, 0, 0), (499500, 0, 0), (999, 0, 0), (999, 0, 0)],
+    ),
+    # one bucket: arc is a full max-selection scan
+    "single-bucket-thousand": (
+        SINGLE_BUCKET, sorted(SINGLE_BUCKET),
+        [(499500, 992, 0), (499500, 992, 0), (499500, 992, 0), (248869, 0, 247870),
+         (499035, 247870, 0)],
+    ),
+}
+
+
+@pytest.mark.parametrize("backend, name", PARAMS)
+@pytest.mark.parametrize("example", EXAMPLES)
+def test_examples_equal_frozen_table(backend, name, example):
+    values, want, counts = EXAMPLES[example]
+    data = list(values)
+    metrics = SortMetrics()
+    out = on(backend, name)(data, metrics)
+    assert out == want
+    assert (metrics.comparisons, metrics.swaps, metrics.writes) == dict(zip(ALGORITHMS, counts))[name]
+    assert out is data if CONTRACTS[name].in_place else data == values
+
 
 GRIDS = {
     ("uniform", 11): (0, 1, 2, 50, 300),

@@ -3,27 +3,23 @@
 from __future__ import annotations
 
 import itertools
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 import arcsort
 from arcsort import _compiled, bench, datagen, sorts
 from arcsort.cli import main
-from backends import needs_cc
+from backends import needs_cc, python
 
-SRC = str(Path(arcsort.__file__).resolve().parent.parent)
 DEFINING_MODULES = [sorts, datagen, bench]
 PURE = next(name for name, sort in arcsort.ALGORITHMS.items() if not sort.compiled)
 
 # Modules the sort path has no use for: bench and datagen with the heavy
 # standard library they pull in, the argparse front end with what it loads,
 # ctypes, which only a sort with a compiled twin needs, to load the compiled
-# kernels once its process has sorted enough keys, and hashlib, whose OpenSSL
-# would add 3.7 MB to every process that loads it.
+# kernels once its process has sorted enough keys, hashlib, whose OpenSSL
+# would add 3.7 MB to every process that loads it, and numpy, which no part
+# of the package uses.
 NOT_ON_SORT_PATH = {
     "arcsort.bench",
     "arcsort.datagen",
@@ -36,18 +32,13 @@ NOT_ON_SORT_PATH = {
     "locale",
     "ctypes",
     "hashlib",
+    "numpy",
 }
-
-
-def python(*args: str, stdin: bytes = b"", **environ: str) -> subprocess.CompletedProcess:
-    env = dict(os.environ, **environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], input=stdin, capture_output=True, env=env)
 
 
 def imported(*args: str, stdin: bytes = b"") -> set[str]:
     """Every module a fresh interpreter imports while running ``args``."""
-    proc = python("-X", "importtime", *args, stdin=stdin)
+    proc = python("-X", "importtime", *args, input=stdin, capture_output=True)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stderr.decode().splitlines()
     return {
@@ -109,10 +100,11 @@ def test_a_compiled_sort_command_over_the_load_charge_loads_ctypes(algo):
 def test_a_small_sort_without_cc_runs_pure_and_leaves_no_cache(tmp_path):
     args = ("-m", "arcsort", "sort", "--algo", "arc", "--metrics", "-")
     stdin = b"349\n34\n-72\n22\n14\n-1\n"
-    want = python(*args, stdin=stdin)
+    want = python(*args, input=stdin, capture_output=True)
     assert want.returncode == 0, want.stderr
     # no cc on PATH and an empty cache: the loader would spawn a cc that is not there
-    proc = python("-X", "importtime", *args, stdin=stdin, PATH=str(tmp_path), XDG_CACHE_HOME=str(tmp_path))
+    empty = {"PATH": str(tmp_path), "XDG_CACHE_HOME": str(tmp_path)}
+    proc = python("-X", "importtime", *args, input=stdin, capture_output=True, env=empty)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stderr.decode().splitlines()
     assert proc.stdout == want.stdout
@@ -124,12 +116,13 @@ def test_a_small_sort_without_cc_runs_pure_and_leaves_no_cache(tmp_path):
 def test_the_loader_imports_no_typing():
     # -S: on some hosts a site-packages .pth imports typing before any test code runs
     code = "import sys, arcsort._compiled; print(sorted({'typing', 're'} & set(sys.modules)))"
-    proc = python("-S", "-c", code)
+    proc = python("-S", "-c", code, capture_output=True)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"[]\n", b"")
 
 
 def test_cli_module_run_as_a_script_only_imports_itself():
-    proc = python("-m", "arcsort.cli", "gen", "--dist", "bogus", "--n", "3", "--seed", "1", "-o", "-")
+    argv = ["gen", "--dist", "bogus", "--n", "3", "--seed", "1", "-o", "-"]
+    proc = python("-m", "arcsort.cli", *argv, capture_output=True)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
 
 
@@ -145,7 +138,7 @@ def test_bench_and_datagen_load_on_first_use():
         "arcsort.run_benchmark\n"
         "assert loaded() == {'arcsort.bench', 'arcsort.datagen'}, loaded()\n"
     )
-    proc = python("-c", code)
+    proc = python("-c", code, capture_output=True)
     assert proc.returncode == 0, proc.stderr.decode()
 
 

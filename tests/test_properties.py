@@ -11,7 +11,6 @@ from hypothesis import example, given, settings, strategies as st
 from arcsort import (
     DatasetSpec,
     SortMetrics,
-    arc_sort,
     concatenate,
     count_digits,
     distribute,
@@ -21,7 +20,7 @@ from arcsort import (
 )
 from arcsort.bench import ALGORITHMS
 from arcsort.sorts import INT64_MAX, INT64_MIN, _BLOCK
-from backends import INPUTS, PARAMS, assert_is_the_index_loop, on, pure_path
+from backends import INPUTS, PARAMS, assert_is_the_index_loop, on
 from oracles import bubble_count_laws, reference_bubble, reference_digit_class
 
 int64s = st.integers(min_value=-(2**63), max_value=2**63 - 1)
@@ -139,8 +138,7 @@ def assert_bubble_is_the_index_loop(values) -> None:
     expected_sorted, expected_cmp, expected_swaps = reference_bubble(values, pass_ends)
     data = Snapshots(values, pass_ends)
     metrics = SortMetrics()
-    with pure_path():
-        assert ALGORITHMS["bubble"](data, metrics) is data
+    assert on("pure", "bubble")(data, metrics) is data
     assert data == expected_sorted
     assert metrics == SortMetrics(comparisons=expected_cmp, swaps=expected_swaps)
     assert (expected_cmp, expected_swaps) == bubble_count_laws(values)
@@ -312,11 +310,12 @@ def test_bucket_ordering_theorem(values):
         assert max(lower) < min(upper)
 
 
+@pytest.mark.parametrize("backend, name", [p for p in PARAMS if p.values[1] == "arc"])
 @settings(deadline=None, max_examples=60)
 @given(values=st.lists(int64s, max_size=19, unique_by=lambda x: count_digits(x)))
-def test_singleton_buckets_cost_nothing(values):
+def test_singleton_buckets_cost_nothing(backend, name, values):
     metrics = SortMetrics()
-    arc_sort(values, metrics)
+    assert on(backend, name)(values, metrics) == sorted(values)
     assert metrics == SortMetrics()
 
 

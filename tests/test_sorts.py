@@ -1,9 +1,8 @@
-"""Unit tests for the four instrumented in-place sorts, and the key rule,
-``metrics=None`` and the containers of every sort on every backend.
+"""The metrics record, the public surface of the in-place sorts, and the
+key rule, ``metrics=None`` and the containers of every sort on every backend.
 
-Expected operation counts were computed with the independent recursive
-reference in ``oracles.py`` (and tiny step interpreters for the pinned
-baseline variants) before being frozen here.
+The outputs and counts of fixed examples are ``test_frozen_counts.py``'s
+``EXAMPLES``.
 """
 
 from __future__ import annotations
@@ -17,6 +16,7 @@ import pytest
 from arcsort import (
     SortMetrics,
     bubble_sort,
+    distribute,
     enhanced_selection_sort,
     insertion_sort,
     selection_sort,
@@ -45,106 +45,9 @@ def test_metrics_accumulate_across_calls():
     assert m.comparisons == 2 * first
 
 
-class TestEnhancedSelection:
-    def test_bucket_of_three(self):
-        data, m = run(enhanced_selection_sort, [34, 22, 14])
-        assert data == [14, 22, 34]
-        assert m.comparisons == 3
-        assert m.swaps == 1
-
-    @pytest.mark.parametrize("values", [[], [5]])
-    def test_size_guard(self, values):
-        data, m = run(enhanced_selection_sort, values)
-        assert data == values
-        assert m == SortMetrics()
-
-    def test_already_sorted_never_swaps(self):
-        data, m = run(enhanced_selection_sort, [1, 2, 3])
-        assert data == [1, 2, 3]
-        assert m.comparisons == 3
-        assert m.swaps == 0
-
-    def test_tie_rule_swaps_equal_values(self):
-        # `>=` promotes the earlier duplicate, so the swap guard fires.
-        data, m = run(enhanced_selection_sort, [7, 7])
-        assert data == [7, 7]
-        assert m.comparisons == 1
-        assert m.swaps == 1
-
-    def test_swaps_on_increasing_thousand(self):
-        data, m = run(enhanced_selection_sort, list(range(1000)))
-        assert data == list(range(1000))
-        assert m.swaps == 0
-        assert m.comparisons == 1000 * 999 // 2
-
-
-class TestSelection:
-    def test_basic(self):
-        data, m = run(selection_sort, [3, 1, 2])
-        assert data == [1, 2, 3]
-        assert m.comparisons == 3
-
-    def test_empty(self):
-        data, m = run(selection_sort, [])
-        assert data == []
-        assert m == SortMetrics()
-
-    def test_all_equal_still_scans(self):
-        data, m = run(selection_sort, [2, 2, 2])
-        assert data == [2, 2, 2]
-        assert m.comparisons == 3
-        assert m.swaps == 0
-
-
-class TestInsertion:
-    def test_sorted_input_is_linear(self):
-        _, m = run(insertion_sort, [1, 2, 3])
-        assert m.comparisons == 2
-
-    def test_reversed_counts_shifts(self):
-        data, m = run(insertion_sort, [3, 2, 1])
-        assert data == [1, 2, 3]
-        assert m.comparisons == 3
-        assert m.writes == 3
-
-    def test_empty(self):
-        _, m = run(insertion_sort, [])
-        assert m.comparisons == 0
-
-
-class TestBubble:
-    def test_single_swap(self):
-        data, m = run(bubble_sort, [2, 1])
-        assert data == [1, 2]
-        assert m.comparisons == 1
-        assert m.swaps == 1
-
-    def test_early_exit_on_sorted(self):
-        # One clean pass, then stop.
-        data, m = run(bubble_sort, [1, 2, 3])
-        assert data == [1, 2, 3]
-        assert m.comparisons == 2
-        assert m.swaps == 0
-
-    def test_empty_noop(self):
-        data, m = run(bubble_sort, [])
-        assert data == []
-        assert m == SortMetrics()
-
-
 @pytest.mark.parametrize("backend, name", PARAMS)
 def test_metrics_argument_is_optional(backend, name):
     assert on(backend, name)([5, -3, 5, 0]) == [-3, 0, 5, 5]
-
-
-# The first docstring line of each public sort: the public sort shows its
-# kernel's docstring as written.
-DOC_FIRST_LINES = {
-    "enhanced_selection_sort": "Sort ascending by repeatedly swapping the maximum to the end.",
-    "selection_sort": "Classic minimum-selection sort: one swap per pass, no early exit.",
-    "insertion_sort": "Insertion sort: a key no smaller than its left neighbour costs one",
-    "bubble_sort": "Adjacent-swap passes, stopping after the first pass with no swap.",
-}
 
 
 @pytest.mark.parametrize("sort", ALL_SORTS)
@@ -160,7 +63,6 @@ def test_public_sort_keeps_its_surface(sort):
     assert sort.__qualname__ == sort.__name__ == sort.kernel.__name__
     assert sort.__module__ == "arcsort.sorts"
     assert sort.__doc__ == sort.kernel.__doc__
-    assert sort.__doc__.splitlines()[0] == DOC_FIRST_LINES[sort.__name__]
 
 
 # Any container of CONTRACTS may come in, not only a list: a deque cannot be
@@ -208,6 +110,25 @@ def test_classic_sorts_reject_keys_outside_int64(backend, name, value):
         on(backend, name)(data, metrics)
     assert data == [5, value, -1]
     assert metrics == SortMetrics()
+
+
+# str() of a key past the int-to-str digit limit raises ValueError, so the key
+# rule names such a key by its size
+@pytest.mark.parametrize(
+    "backend, name", [*PARAMS, pytest.param("pure", "distribute", id="distribute")]
+)
+@pytest.mark.parametrize(
+    "key, shown",
+    [
+        pytest.param(10**5000, "a 16610-bit key", id="10**5000"),
+        pytest.param(-(10**5000), "a 16610-bit negative key", id="-10**5000"),
+        pytest.param(Index(10**5000), "a 16610-bit key", id="Index(10**5000)"),
+    ],
+)
+def test_keys_past_the_digit_limit_are_named_by_their_size(backend, name, key, shown):
+    sort = distribute if name == "distribute" else on(backend, name)
+    with pytest.raises(OverflowError, match=f"^{shown} is outside the signed 64-bit range$"):
+        sort([3, key, 1])
 
 
 @pytest.mark.parametrize("backend, name", PARAMS)
