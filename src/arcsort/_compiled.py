@@ -1,15 +1,11 @@
 """The compiled kernels of ``_ckernels.c``: built, cached and loaded once the load pays.
 
-:mod:`arcsort.sorts` imports this module on the first call of a sort
-whose kernel has a compiled twin, and :func:`run` is the one place that
-chooses the backend.  It follows the ski-rental rule of Karlin,
-Manasse, Rudolph and Sleator (1988, "Competitive snoopy caching"): each
-call is charged its n(n-1)/2 and runs pure until the process's charge
-reaches :data:`LOAD_AT`, the pure work that costs about one load; that
-call loads.  Once :func:`kernels` has run, by that rule or called
-directly, every call runs C at every size.  So a launch that sorts a few
-short inputs imports no ``ctypes`` and spawns no ``cc``, and both
-backends give the same outputs and counts.
+:mod:`arcsort.sorts` imports this module at the call of a twinned sort
+that its load rule (``sorts.LOAD_AT``) sends to C, and :func:`run` runs
+that call there.  Once :func:`kernels` has run, by that rule or called
+directly, every such call runs C at every size.  So a launch that sorts
+a few short inputs imports neither this module nor ``ctypes`` and spawns
+no ``cc``, and both backends give the same outputs and counts.
 """
 
 from __future__ import annotations
@@ -26,19 +22,6 @@ if TYPE_CHECKING:  # for the annotations only; sorts imports this module, not th
 # how _ckernels.c is built; part of the cached library's name
 _CFLAGS = ("-O2", "-shared", "-fPIC")
 
-# The n(n-1)/2 charge at which run() loads the library.  Measured with one
-# CPU of a 2 vCPU Xeon, Python 3.11, gcc 12, a warm cache and no bytecode
-# written: a fresh process that imported this module and sorted six keys
-# took 1.8 ms longer when it called kernels() first (ctypes, the CRC, the
-# dlopen, array and a C call in place of a pure one, medians of 40), and
-# a pure call cost 9-26 ns a unit of n(n-1)/2 for arc and 17-50 ns for
-# bubble, at n = 64-512 (the more keys, the less).  So 1.5e5 units of
-# pure work, at 12 ns a unit, cost about one load.
-LOAD_AT = 150_000
-
-_loaded = False  # kernels() has run in this process: run() calls it at every size
-_charged = 0  # the n(n-1)/2 of every run() call made before that
-
 
 @cache
 def kernels():
@@ -52,10 +35,12 @@ def kernels():
     first calls are safe, and a failed build or load leaves nothing
     behind.  No compiler, no writable cache, a failed build or a failed
     load gives None, and the sorts run their pure kernels.  Its first
-    call opens :func:`run`'s gate for the rest of the process.
+    call opens the load rule's gate in :mod:`arcsort.sorts` for the rest
+    of the process.
     """
-    global _loaded
-    _loaded = True
+    from . import sorts
+
+    sorts._loaded = True
     import ctypes
     from binascii import crc32  # not hashlib: its OpenSSL adds 3.7 MB to a process
 
@@ -96,7 +81,7 @@ def kernels():
 def run(name: str, keys: list[int], metrics: SortMetrics) -> array | None:
     """``keys`` sorted by the kernel ``name`` of :func:`kernels`, as an ``array('q')``,
     with its comparisons and swaps added to ``metrics``; None, touching nothing, if
-    the call is to run pure: the library has not paid for its load yet, or none loads.
+    no library loads.
 
     The keys must have passed ``sorts.check_keys``: ``array('q')`` would
     take a bool as 1.  The caller gives up the list: it is emptied once
@@ -104,11 +89,6 @@ def run(name: str, keys: list[int], metrics: SortMetrics) -> array | None:
     result into a list.  A kernel that cannot allocate its scratch space
     raises :class:`MemoryError`, with ``metrics`` untouched.
     """
-    global _charged
-    if not _loaded:
-        _charged += len(keys) * (len(keys) - 1) // 2
-        if _charged < LOAD_AT:
-            return None
     lib = kernels()
     if lib is None:
         return None

@@ -91,8 +91,8 @@ def _read_lines(data: bytes) -> list[int]:
             continue
         sign = token[:1] if token[:1] in (b"+", b"-") else b""
         if not token[len(sign):].isdigit():  # ASCII digits only, so no "_" either
-            shown = token.decode("ascii", errors="backslashreplace")
-            raise CliError(EXIT_BAD_INT, f"line {lineno}: {shown!r} is not an integer")
+            shown = repr(token)[1:]  # repr without the b: a \xNN escape for each non-ASCII byte
+            raise CliError(EXIT_BAD_INT, f"line {lineno}: {shown} is not an integer")
         digits = token[len(sign):].lstrip(b"0") or b"0"  # int() counts zeros to its digit limit
         value = int(sign + digits[:20])  # no int64 has 20 digits
         if not INT64_MIN <= value <= INT64_MAX:

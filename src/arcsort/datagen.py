@@ -3,13 +3,27 @@
 Every generator is a pure function of its :class:`DatasetSpec`: the PRNG
 is Python's ``random.Random`` (MT19937), seeded per spec, so identical
 specs reproduce identical sequences bit for bit on any machine.
+
+The draws are this module's own rejection sampling over
+``getrandbits``: a draw from ``range(m)`` takes ``m.bit_length()`` bits
+and redraws while they read ``m`` or more.  That is the exact sequence
+of calls ``random.Random`` makes on Python 3.10-3.12 for ``randint``,
+``sample`` and ``shuffle``, which each distribution drew through before,
+so every dataset is the one those calls gave, draw for draw.  CPython
+promises across versions only the sequence of ``random()``, not the
+algorithms of those three, so the datasets now rest on MT19937's
+``getrandbits`` alone; and each accepted draw costs a step of one
+generator in place of a chain of Python-level calls.
 """
 
 from __future__ import annotations
 
 import random
 import sys
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from itertools import islice, repeat
+from math import ceil, log
 
 from .sorts import INT64_MAX, INT64_MIN, MAX_DIGITS
 
@@ -98,8 +112,25 @@ def _validate(spec: DatasetSpec) -> None:
         raise DatasetError(f"with-negatives needs a range straddling zero, got [{lo}, {hi}]")
     if distinct and hi - lo + 1 < spec.n:
         raise DatasetError(f"range [{lo}, {hi}] holds fewer than {spec.n} distinct values")
-    if distinct and hi - lo >= sys.maxsize:  # random.sample needs len() of the range
+    # random.sample needed len() of the range; the own draw does not, but the
+    # rule stays, so no spec that was refused draws now
+    if distinct and hi - lo >= sys.maxsize:
         raise DatasetError(f"range [{lo}, {hi}] is too wide to draw distinct values from")
+
+
+def _draws_below(getrandbits: Callable[[int], int], m: int) -> Iterator[int]:
+    """Endless draws from ``range(m)``, each as ``random.Random._randbelow(m)``
+    makes it: ``k = m.bit_length()`` bits, drawn again while ``r >= m``."""
+    k = m.bit_length()  # not (m - 1): m may be 1
+    for r in map(getrandbits, repeat(k)):
+        if r < m:
+            yield r
+
+
+def _setsize(n: int) -> int:
+    """``random.Random.sample``'s bound: it draws ``n`` from a population of at
+    most this many by a partial shuffle of it, and from a larger one by rejection."""
+    return 21 + (4 ** ceil(log(n * 3, 4)) if n > 5 else 0)
 
 
 def generate(spec: DatasetSpec) -> list[int]:
@@ -107,22 +138,46 @@ def generate(spec: DatasetSpec) -> list[int]:
 
     Raises :class:`DatasetError` for invalid specs (unknown distribution,
     impossible n, a draw without replacement whose range holds fewer
-    than n values, ...).
+    than n values, ...).  Each regime draws as the ``random.Random`` call
+    it names below did: ``randint`` is ``lo`` plus a draw below the
+    range's width, and the draws that fill a list are one stream of them.
     """
     _validate(spec)
-    rng = random.Random(spec.seed)
+    bits = random.Random(spec.seed).getrandbits
     dist = spec.distribution
     n = spec.n
 
     if dist == "one-per-bucket":
-        values = [rng.randint(*_digit_range(d)) for d in range(1, n + 1)]
-        rng.shuffle(values)
+        values = []
+        for d in range(1, n + 1):  # randint over each digit class
+            lo, hi = _digit_range(d)
+            values.append(lo + next(_draws_below(bits, hi - lo + 1)))
+        for i in range(n - 1, 0, -1):  # shuffle: swap slot i with one of slots 0..i
+            j = next(_draws_below(bits, i + 1))
+            values[i], values[j] = values[j], values[i]
         return values
 
     lo, hi, distinct = _draw(spec)
-    if not distinct:
-        return [rng.randint(lo, hi) for _ in range(n)]
-    values = rng.sample(range(lo, hi + 1), n)
-    if dist in _MONOTONE:
-        values.sort(reverse=dist == "reverse-sorted")
-    return values
+    width = hi - lo + 1
+    if not distinct:  # randint, n times
+        return [lo + r for r in islice(_draws_below(bits, width), n)]
+    # sample(range(lo, hi + 1), n), by its two branches
+    monotone = dist in _MONOTONE
+    if width <= _setsize(n):
+        # a partial shuffle of the pool: draw slot j of the width - i left,
+        # and move the last of them into it
+        pool = list(range(lo, hi + 1))
+        chosen = []
+        for i in range(n):
+            j = next(_draws_below(bits, width - i))
+            chosen.append(pool[j])
+            pool[j] = pool[width - i - 1]
+    else:
+        # the first n distinct draws: a set when they are sorted next, so no
+        # list in draw order is kept beside it, else a dict, which keeps that order
+        draws = _draws_below(bits, width)
+        chosen = set() if monotone else {}
+        while len(chosen) < n:
+            drawn = [lo + r for r in islice(draws, n - len(chosen))]
+            chosen.update(drawn if monotone else dict.fromkeys(drawn))
+    return sorted(chosen, reverse=dist == "reverse-sorted") if monotone else list(chosen)

@@ -40,17 +40,20 @@ which makes each in-place sort from its kernel, kept as ``.kernel``,
 ``arc_sort`` and bubble sort also have a compiled twin in
 ``_ckernels.c``: the whole bucketed sort as one call, and bubble's index
 loop.  Each public sort says whether it has one in ``.compiled`` and
-asks :func:`arcsort._compiled.run` for it on every call.  ``run`` loads
-the library at the call that brings the process's charge, n(n-1)/2 for
-each such call, to ``_compiled.LOAD_AT``, and runs the twin from then
-on, or from the first call of :func:`arcsort._compiled.kernels`.  The
-sort runs its pure path before then, and wherever the library cannot be
-built or loaded.  The public ``enhanced_selection_sort`` and
-``selection_sort`` stay pure.  Compiled, they would let the benchmark's
-``oracle-mix`` workload run about 1.5 times as many cycles; that
-workload keeps the counts of every sort it runs and reads few of them
-back (``Context.seen`` in ``perfbench/workloads.py``), so its
-``peak_rss_mb`` would grow past its bound.
+asks :func:`_twin` for it on every call.  That follows the ski-rental
+rule of Karlin, Manasse, Rudolph and Sleator (1988, "Competitive snoopy
+caching"): each call is charged its n(n-1)/2 and runs pure until the
+process's charge reaches :data:`LOAD_AT`, the pure work that costs
+about one load; that call imports :mod:`arcsort._compiled` and loads the
+library, and the twin runs from then on, or from the first call of
+:func:`arcsort._compiled.kernels`.  The sort runs its pure path before
+then, and wherever the library cannot be built or loaded.  The public
+``enhanced_selection_sort`` and ``selection_sort`` stay pure.
+Compiled, they would let the benchmark's ``oracle-mix`` workload run
+about 1.5 times as many cycles; that workload keeps the counts of every
+sort it runs and reads few of them back (``Context.seen`` in
+``perfbench/workloads.py``), so its ``peak_rss_mb`` would grow past its
+bound.
 """
 
 from __future__ import annotations
@@ -67,6 +70,19 @@ MAX_DIGITS = len(str(INT64_MAX))  # the most decimal digits an int64 key has
 # keys per block of the selection sorts' working list: a pass starts one
 # loop per block and searches one block for its slot
 _BLOCK = 64
+
+# The n(n-1)/2 charge at which _twin() loads the library.  Measured with one
+# CPU of a 2 vCPU Xeon, Python 3.11, gcc 12, a warm cache and no bytecode
+# written: a fresh process that imported arcsort._compiled and sorted six
+# keys took 1.8 ms longer when it called kernels() first (ctypes, the CRC,
+# the dlopen, array and a C call in place of a pure one, medians of 40),
+# and a pure call cost 9-26 ns a unit of n(n-1)/2 for arc and 17-50 ns for
+# bubble, at n = 64-512 (the more keys, the less).  So 1.5e5 units of
+# pure work, at 12 ns a unit, cost about one load.
+LOAD_AT = 150_000
+
+_loaded = False  # arcsort._compiled.kernels() has run in this process: every call runs C
+_charged = 0  # the n(n-1)/2 of every _twin() call made before that
 
 
 class SortMetrics:
@@ -102,37 +118,58 @@ def check_keys(data: MutableSequence) -> None:
     """Make every key of ``data`` a plain int in the int64 range, in place.
 
     Raises :class:`TypeError` or :class:`OverflowError` naming the first
-    key that cannot be one.  A plain int costs one type test.
+    key that cannot be one, with ``data`` as it was given: no key is
+    replaced by its int until every key has passed.  A plain int costs
+    one type test.
     """
+    converted = []  # (slot, int) of each key that passed as its __index__
     for i, x in enumerate(data):
         if type(x) is not int:
             # bool has __index__, but len(str(True)) would file it as a 4-digit key
             if isinstance(x, bool) or not hasattr(type(x), "__index__"):
                 raise TypeError(f"{x!r} is not an integer key")
-            data[i] = x = index(x)
+            x = index(x)
+            converted.append((i, x))
         if not INT64_MIN <= x <= INT64_MAX:
             try:
                 shown = str(x)
             except ValueError:  # more digits than int-to-str conversion allows
                 shown = f"a {x.bit_length()}-bit {'negative ' if x < 0 else ''}key"
             raise OverflowError(f"{shown} is outside the signed 64-bit range")
+    for i, x in converted:
+        data[i] = x
+
+
+def _twin(name: str, keys: list[int], metrics: SortMetrics):
+    """:func:`arcsort._compiled.run` of the call, or None, touching nothing,
+    if the call is to run pure: the library has not paid for its load yet,
+    or none loads.
+
+    ``keys`` must have passed :func:`check_keys`, and ``run`` empties them.
+    """
+    global _charged
+    if not _loaded:
+        _charged += len(keys) * (len(keys) - 1) // 2
+        if _charged < LOAD_AT:
+            return None
+    from ._compiled import run  # imported at the load, not at launch
+
+    return run(name, keys, metrics)
 
 
 def _public(kernel: Callable[[MutableSequence[int], SortMetrics], None], compiled: bool = False):
     """The public sort of ``kernel``: check the keys, default the metrics, return the data.
 
     A ``compiled`` kernel runs as its twin of the same name in
-    ``_ckernels.c`` whenever :func:`arcsort._compiled.run` sends the call
-    there, and as itself otherwise.  The sort keeps the flag as ``.compiled``.
+    ``_ckernels.c`` whenever :func:`_twin` sends the call there, and as
+    itself otherwise.  The sort keeps the flag as ``.compiled``.
     """
 
     def sort(data: MutableSequence[int], metrics: SortMetrics | None = None) -> MutableSequence[int]:
         check_keys(data)
         metrics = SortMetrics() if metrics is None else metrics
         if compiled:
-            from ._compiled import run  # imported by the first such call, not at launch
-
-            keys = run(kernel.__name__, list(data), metrics)  # run empties the copy
+            keys = _twin(kernel.__name__, list(data), metrics)  # the C run empties the copy
             if keys is not None:
                 if isinstance(data, list):
                     data[:] = keys.tolist()
@@ -278,8 +315,7 @@ def bubble_sort(data: MutableSequence[int], metrics: SortMetrics) -> None:
     ``tests/oracles.py``, and the counts are that loop's: ``limit``
     comparisons a pass and a swap for each key that is not a record.
     The public sort runs that loop itself, compiled from ``_ckernels.c``,
-    whenever :func:`arcsort._compiled.run` sends the call there, and this
-    body otherwise.
+    whenever :func:`_twin` sends the call there, and this body otherwise.
     """
     n = len(data)
     comparisons = 0
@@ -382,16 +418,14 @@ def arc_sort(data: Sequence[int], metrics: SortMetrics | None = None) -> list[in
     Metrics accumulate across the per-bucket sorts, so total comparisons
     equal the sum of c(c-1)/2 over bucket occupancies c.  The keys are
     copied and checked once; then the whole sort is one call of its twin
-    ``arc_sort`` in ``_ckernels.c`` whenever :func:`arcsort._compiled.run`
-    sends the call there.  Otherwise the checked keys are scattered as by
+    ``arc_sort`` in ``_ckernels.c`` whenever :func:`_twin` sends the call
+    there.  Otherwise the checked keys are scattered as by
     :func:`distribute` and each bucket runs the enhanced selection kernel.
     """
     metrics = SortMetrics() if metrics is None else metrics
     keys = list(data)
     check_keys(keys)
-    from ._compiled import run  # imported by the first call, not at launch
-
-    packed = run("arc_sort", keys, metrics)
+    packed = _twin("arc_sort", keys, metrics)
     if packed is not None:
         return packed.tolist()
     table = _scatter(keys)

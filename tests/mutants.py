@@ -3,9 +3,10 @@
 Each sort has one definition, so the index loops in ``tests/oracles.py``
 and the tests built on them are the only guard on it.  This script shows
 that they catch plausible slips in the kernels, the bucketing, the key
-rule and the CLI's integer parser, in the compiled bubble and arc sorts
-of ``_ckernels.c`` with their write-back, and in the loader, its load
-rule and the bench label that choose the backend.  Each mutant is one
+rule, the dataset generators' draws and the CLI's integer parser, in
+the compiled bubble and arc sorts of ``_ckernels.c`` with their
+write-back, and in the loader, its load rule and the bench label that
+choose the backend.  Each mutant is one
 exact text in one file, replaced by another, and the tests that must
 fail.  For each mutant, the script copies ``src/``, ``tests/`` and
 ``pyproject.toml`` to a temporary directory, applies the mutant there
@@ -42,6 +43,7 @@ CLI = "src/arcsort/cli.py"
 CKERNELS = "src/arcsort/_ckernels.c"
 COMPILED = "src/arcsort/_compiled.py"
 BENCH = "src/arcsort/bench.py"
+DATAGEN = "src/arcsort/datagen.py"
 PROPS = "tests/test_properties.py"
 PARITY = f"{PROPS}::test_every_backend_equals_the_index_loop"
 
@@ -71,6 +73,7 @@ COMPILED_ARC = (
     f"{PARITY}_at_oracle_mix_sizes[small-range-200-arc_sort]",
     f"{PARITY}_at_oracle_mix_sizes[small-range-512-arc_sort]",
 )
+DATASETS = ("tests/test_frozen_datasets.py::test_datasets_equal_frozen_digest",)
 LOAD_RULE = "tests/test_dispatch.py::test_small_calls_load_the_library_once_their_charges_reach_load_at[arc]"
 
 
@@ -160,18 +163,18 @@ MUTANTS = [
     Mutant("loader: a failed build leaves the cache directory it made", COMPILED,
            "os.rmdir(cache_dir)", "pass",
            ("tests/test_dispatch.py::test_no_compiler_leaves_the_cache_home_empty",)),
-    Mutant("load rule: the library loads at the first call", COMPILED,
+    Mutant("load rule: the library loads at the first call", SORTS,
            "LOAD_AT = 150_000", "LOAD_AT = 0",
-           ("tests/test_imports.py::test_a_small_compiled_sort_command_loads_the_loader_but_not_ctypes[arc]",
+           ("tests/test_imports.py::test_a_small_compiled_sort_command_loads_neither_the_loader_nor_ctypes[arc]",
             LOAD_RULE)),
-    Mutant("load rule: the charge never opens the gate", COMPILED,
+    Mutant("load rule: the charge never opens the gate", SORTS,
            "if _charged < LOAD_AT:", "if True:",
            ("tests/test_imports.py::test_a_compiled_sort_command_over_the_load_charge_loads_ctypes[arc]",
             LOAD_RULE)),
-    Mutant("load rule: each call charged alone, not summed", COMPILED,
+    Mutant("load rule: each call charged alone, not summed", SORTS,
            "_charged += len(keys)", "_charged = len(keys)", (LOAD_RULE,)),
     Mutant("load rule: kernels() leaves the gate shut", COMPILED,
-           "_loaded = True", "_loaded = False",
+           "sorts._loaded = True", "sorts._loaded = False",
            ("tests/test_dispatch.py::test_after_a_direct_load_every_call_runs_c",)),
     Mutant("bench: the kernels loaded before the datasets are generated", BENCH,
            "    datasets = {n: [generate(replace(spec_template, n=n, seed=s)) for s in seeds[n]] for n in sizes}\n"
@@ -203,6 +206,9 @@ MUTANTS = [
            "if isinstance(x, bool) or not hasattr", "if not hasattr",
            ("tests/test_sorts.py::test_classic_sorts_reject_non_integer_keys",
             "tests/test_buckets.py::test_distribute_rejects_non_integer_keys")),
+    Mutant("check_keys: a converted key written back before every key has passed", SORTS,
+           "            x = index(x)\n", "            data[i] = x = index(x)\n",
+           ("tests/test_sorts.py::test_classic_sorts_reject_non_integer_keys",)),
     Mutant("check_keys: a key past the digit limit printed, not named by its size", SORTS,
            "            try:\n                shown = str(x)\n            except ValueError:"
            "  # more digits than int-to-str conversion allows\n"
@@ -212,6 +218,16 @@ MUTANTS = [
     Mutant("arc_sort: buckets sorted by the public sort, keys checked again", SORTS,
            "enhanced_selection_sort.kernel(bucket, metrics)", "enhanced_selection_sort(bucket, metrics)",
            ("tests/test_sorts.py::test_classic_sorts_check_keys_once[arc_sort_pure]",)),
+    Mutant("datagen: a draw equal to the width accepted", DATAGEN,
+           "if r < m:", "if r <= m:", DATASETS),
+    Mutant("datagen: a draw of the bits m - 1 needs", DATAGEN,
+           "k = m.bit_length()  #", "k = (m - 1).bit_length()  #", DATASETS),
+    Mutant("datagen: the pool's vacancy filled from one slot too far left", DATAGEN,
+           "pool[j] = pool[width - i - 1]", "pool[j] = pool[width - i - 2]", DATASETS),
+    Mutant("datagen: sample's pool bound grown from n = 5", DATAGEN,
+           "if n > 5", "if n >= 5", DATASETS),
+    Mutant("datagen: the shuffle stops a slot early", DATAGEN,
+           "range(n - 1, 0, -1)", "range(n - 1, 1, -1)", DATASETS),
     Mutant("_read_lines: values cut to 19 digits", CLI,
            "digits[:20]", "digits[:19]",
            ("tests/test_cli.py::test_sort_file",)),

@@ -42,7 +42,7 @@ SORT_FILE = {
     "parse-error": ("arc", b"abc\n", 3, "", error("line 1: 'abc' is not an integer")),
     # nothing is printed before the last line is read
     "late-parse-error": ("arc", b"1\n2\nxyz\n", 3, "", error("line 3: 'xyz' is not an integer")),
-    "non-ascii-byte": ("arc", b"1\n\xe9\n", 3, "", error(r"line 2: '\\xe9' is not an integer")),
+    "non-ascii-byte": ("arc", b"1\n\xe9\n", 3, "", error(r"line 2: '\xe9' is not an integer")),
     # \f is whitespace inside a line, not a line break: "foo" is on line 3
     "form-feed": ("arc", b"1\n\f2\nfoo\n", 3, "", error("line 3: 'foo' is not an integer")),
     "cr": ("insertion", b"3\r1\r\n2\n", 0, "1\n2\n3\n", ""),

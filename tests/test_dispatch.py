@@ -3,7 +3,7 @@
 Where the twin cannot be built or loaded, every sort runs its pure path
 and is still its index loop on ``backends.INPUTS``.  A process loads the
 library at the call that brings its pure calls' n(n-1)/2 charges to
-``_compiled.LOAD_AT``, and runs C at every size once ``kernels`` has run.
+``sorts.LOAD_AT``, and runs C at every size once ``kernels`` has run.
 The loader builds once, caches the build in the user cache directory
 (never one relative to the working directory) and reuses it; a failed
 build or load leaves nothing there.  A C call that cannot allocate raises
@@ -21,8 +21,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from arcsort import ALGORITHMS, SortMetrics, arc_sort
-from arcsort import _compiled
+from arcsort import ALGORITHMS, SortMetrics, _compiled, arc_sort, sorts
 from arcsort._compiled import kernels
 from backends import INPUTS, assert_is_the_index_loop, needs_cc, no_compiler
 
@@ -38,8 +37,8 @@ def fresh_loader():
 @pytest.fixture
 def unloaded(fresh_loader, monkeypatch):
     """The load rule's state in a process that has not loaded the library yet."""
-    monkeypatch.setattr(_compiled, "_loaded", False)
-    monkeypatch.setattr(_compiled, "_charged", 0)
+    monkeypatch.setattr(sorts, "_loaded", False)
+    monkeypatch.setattr(sorts, "_charged", 0)
 
 
 @needs_cc
@@ -47,7 +46,7 @@ def unloaded(fresh_loader, monkeypatch):
 def test_small_calls_load_the_library_once_their_charges_reach_load_at(unloaded, name):
     values = list(range(40, 0, -1))
     charge = len(values) * (len(values) - 1) // 2
-    pure_calls = (_compiled.LOAD_AT - 1) // charge  # the most whose charges sum below it
+    pure_calls = (sorts.LOAD_AT - 1) // charge  # the most whose charges sum below it
     for _ in range(pure_calls):
         assert ALGORITHMS[name](list(values)) == sorted(values)
     assert kernels.cache_info().currsize == 0
@@ -58,11 +57,11 @@ def test_small_calls_load_the_library_once_their_charges_reach_load_at(unloaded,
 @needs_cc
 def test_after_a_direct_load_every_call_runs_c(unloaded):
     pure = SortMetrics()
-    assert _compiled.run("arc_sort", [3, 1, 2], pure) is None  # charged 3: pure
+    assert sorts._twin("arc_sort", [3, 1, 2], pure) is None  # charged 3: pure
     assert pure == SortMetrics()
     assert kernels() is not None
     metrics = SortMetrics()
-    assert list(_compiled.run("arc_sort", [3, 1, 2], metrics)) == [1, 2, 3]
+    assert list(sorts._twin("arc_sort", [3, 1, 2], metrics)) == [1, 2, 3]
     assert metrics == SortMetrics(3, 2)
 
 

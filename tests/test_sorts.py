@@ -92,6 +92,7 @@ def test_sorts_a_deque_as_they_sort_a_list(backend, name):
         ([5, False], "False"),
         ([Fraction(1, 2), 7], "Fraction(1, 2)"),
         ([3, "4"], "'4'"),
+        ([Index(3), 1.5], "1.5"),  # was left as [3, 1.5]: an Index equals only itself
     ],
 )
 def test_classic_sorts_reject_non_integer_keys(backend, name, values, bad):
